@@ -104,7 +104,7 @@ def cmd_classify(args) -> int:
         )
     report = classify(
         args.leaves, args.order, args.mode,
-        workers=args.workers,
+        workers=args.workers if args.workers is not None else default_workers(),
         mirror_reduce=not args.no_mirror_reduce,
         verify_mirror=args.verify_mirror,
         progress=_progress(f"classify n={args.leaves} {args.mode}") if not args.quiet else None,
@@ -336,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--leaves", type=int, required=True)
     p.add_argument("-K", "--order", type=int, default=257)
     p.add_argument("--mode", choices=("av", "en"), default="av")
-    p.add_argument("--workers", type=int, default=default_workers())
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes (default: TREEWILF_WORKERS, else the CPU count)")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--csv", default=None, help="append a CSV summary row here")
     p.add_argument("--no-mirror-reduce", action="store_true")

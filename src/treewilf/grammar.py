@@ -100,9 +100,11 @@ class Grammar:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def build_Ld(alphabet: Alphabet, patterns: PatternSet, max_size: int | None = None) -> list[Tree]:
-    """All avoiding trees of height at most d (max pattern height), in canonical order."""
-    d = patterns.d
+def build_Ld(alphabet: Alphabet, patterns: PatternSet, max_size: int | None = None,
+             height: int | None = None) -> list[Tree]:
+    """All avoiding trees of height at most d (max pattern height, unless
+    another height is given), in canonical order."""
+    d = patterns.d if height is None else height
     x = Tree(alphabet.free_end)
     layer: list[Tree] = [x]
     for _ in range(d):

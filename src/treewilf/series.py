@@ -15,8 +15,9 @@ Two implementation notes that matter for whole-sweep classification:
   factor classes.
 * bivariate solves store each x-degree's y-polynomial packed into a single
   big integer (fixed bit width per y-coefficient), so polynomial arithmetic
-  rides on CPython's big-integer multiply.  The width is chosen from an a
-  priori coefficient bound supplied by the caller and re-checked when the
+  rides on CPython's big-integer multiply.  The solver picks the width
+  itself from a one-unknown majorant system (see _majorant), solved first as
+  a univariate series, and re-checks every coefficient against it when the
   result is unpacked.
 """
 
@@ -30,7 +31,7 @@ except ImportError:  # pragma: no cover - gmpy2 is a fast-multiplication acceler
     _bigint = int
 
 from .systems import AlgebraicSystem, Monomial, enumeration_system
-from .trees import Tree, catalan
+from .trees import Tree
 
 
 class TruncatedSeries:
@@ -231,27 +232,6 @@ class TruncatedSeries:
 # -- the solver ------------------------------------------------------------------
 
 
-class _DictOps:
-    """Coefficients as {mark_exponent: int}; the generic bivariate fallback."""
-
-    @staticmethod
-    def add_into(acc: dict, d: dict, scale: int = 1) -> None:
-        for k, v in d.items():
-            acc[k] = acc.get(k, 0) + scale * v
-
-    @staticmethod
-    def mul(a: dict, b: dict) -> dict:
-        out: dict[int, int] = {}
-        for i, u in a.items():
-            for j, v in b.items():
-                out[i + j] = out.get(i + j, 0) + u * v
-        return out
-
-    @staticmethod
-    def shift(d: dict, b: int) -> dict:
-        return d if b == 0 else {k + b: v for k, v in d.items()}
-
-
 def _compile_plan(system: AlgebraicSystem):
     """Turn equations into evaluation instructions with shared sum/chain nodes.
 
@@ -322,153 +302,122 @@ def _compile_plan(system: AlgebraicSystem):
     return plans, nodes
 
 
+def _majorant(system: AlgebraicSystem) -> AlgebraicSystem:
+    """One-unknown system S = sum M[a,k] * x^a * S^k whose x^n coefficient
+    bounds every mark coefficient at x^n of every unknown of the system.
+
+    M[a,k] is the largest total coefficient any single factor tuple carries
+    among the monomials of primary degree a with k factors, summed over the
+    equations and the mark exponents.  Coefficients are positive (checked by
+    validate_proper), so at mark = 1 each unknown is at most the sum of all
+    unknowns, and that sum satisfies the majorant's recurrence with <= since
+    the products over all k-tuples of unknowns add up to its k-th power.
+    """
+    totals: dict[tuple[int, tuple[int, ...]], int] = {}
+    for eq in system.equations:
+        for m in eq:
+            key = (m.wexp[0], m.factors)
+            totals[key] = totals.get(key, 0) + m.coeff
+    bounds: dict[tuple[int, int], int] = {}
+    for (a, factors), total in totals.items():
+        key = (a, len(factors))
+        bounds[key] = max(bounds.get(key, 0), total)
+    return AlgebraicSystem(
+        weight_vars=system.weight_vars[:1],
+        unknowns=("S",),
+        equations=(tuple(Monomial(c, (a,), (0,) * k) for (a, k), c in sorted(bounds.items())),),
+        target=((1, 0),),
+    )
+
+
 def solve_truncated(system: AlgebraicSystem, order: int, *,
-                    coeff_bound: int | None = None,
                     include_unknowns: bool = True):
     """Solve the system as truncated series up to the given order.
 
     Returns (solutions, target): a name -> TruncatedSeries mapping (None when
-    include_unknowns is false) and the target series.  coeff_bound, when
-    given for a bivariate system whose monomials hold at most two factors,
-    enables the packed-integer coefficient representation; the bound is
-    verified against every unpacked coefficient.
+    include_unknowns is false) and the target series.  Bivariate systems run
+    on packed integers whose slot width comes from the majorant system's
+    largest coefficient; every unpacked coefficient is checked against the
+    majorant at its own degree, and ArithmeticError is raised on a breach.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
     system.validate_proper()
     nvars = len(system.weight_vars)
-    packable = coeff_bound is not None and all(
-        len(m.factors) <= 2 for eq in system.equations for m in eq
-    )
     if nvars == 1:
         width = 0
-        use_dict = False
-    elif packable:
-        width = coeff_bound.bit_length() + 4
-        use_dict = False
     else:
-        width = 0
-        use_dict = True
+        _, majorant = solve_truncated(_majorant(system), order, include_unknowns=False)
+        ceiling = majorant.dense_coefficients()
+        # spare bits keep a coefficient that breaks the bound in its own slot,
+        # where the unpack check sees it, instead of carrying into the next
+        width = max(ceiling).bit_length() + 4
 
     plans, nodes = _compile_plan(system)
     n_unknowns = system.n_unknowns
     n_series = n_unknowns + len(nodes)
 
-    if use_dict:
-        store: list[list] = [[{} for _ in range(order + 1)] for _ in range(n_series)]
-    else:
-        zero = _bigint(0)
-        store = [[zero] * (order + 1) for _ in range(n_series)]
+    zero = _bigint(0)
+    store = [[zero] * (order + 1) for _ in range(n_series)]
 
     chain_nodes = [(n_unknowns + i, spec) for i, (kind, spec) in enumerate(nodes) if kind == "chain"]
     sum_nodes = [(n_unknowns + i, spec) for i, (kind, spec) in enumerate(nodes) if kind == "sum"]
 
-    if use_dict:
-        def conv_slice(L, R, m):
-            acc: dict[int, int] = {}
-            for i in range(1, m):
-                a = L[i]
-                if not a:
-                    continue
-                b = R[m - i]
-                if not b:
-                    continue
-                for ya, ca in a.items():
-                    for yb, cb in b.items():
-                        k = ya + yb
-                        acc[k] = acc.get(k, 0) + ca * cb
-            return acc
-    else:
-        def conv_slice(L, R, m):
-            if m < 2:
-                return 0
-            s = 0
-            for a, b in zip(L[1:m], R[m - 1:0:-1]):
-                s += a * b
-            return s
+    def conv_slice(L, R, m):
+        if m < 2:
+            return 0
+        s = 0
+        for a, b in zip(L[1:m], R[m - 1:0:-1]):
+            s += a * b
+        return s
 
     for n in range(1, order + 1):
         for cid, (left, right) in chain_nodes:
             store[cid][n] = conv_slice(store[left], store[right], n)
         for ui in range(n_unknowns):
-            if use_dict:
-                acc: dict[int, int] = {}
-                for instr in plans[ui]:
-                    kind = instr[0]
-                    if kind == "const":
-                        _, a, b, coeff = instr
-                        if a == n:
-                            acc[b] = acc.get(b, 0) + coeff
-                    elif kind == "lin":
-                        _, a, b, coeff, src = instr
-                        if 1 <= n - a:
-                            _DictOps.add_into(acc, _DictOps.shift(store[src][n - a], b), coeff)
-                    elif kind == "prod":
-                        _, a, b, coeff, left, right = instr
-                        if n - a >= 2:
-                            _DictOps.add_into(
-                                acc, _DictOps.shift(conv_slice(store[left], store[right], n - a), b), coeff)
-                    else:  # node
-                        _, a, b, coeff, src = instr
-                        if 0 <= n - a <= order:
-                            _DictOps.add_into(acc, _DictOps.shift(store[src][n - a], b), coeff)
-                store[ui][n] = {k: v for k, v in acc.items() if v}
-            else:
-                acc = zero
-                for instr in plans[ui]:
-                    kind = instr[0]
-                    if kind == "const":
-                        _, a, b, coeff = instr
-                        if a == n:
-                            acc += _bigint(coeff) << (b * width)
-                    elif kind == "lin":
-                        _, a, b, coeff, src = instr
-                        if 1 <= n - a:
-                            acc += (coeff * store[src][n - a]) << (b * width)
-                    elif kind == "prod":
-                        _, a, b, coeff, left, right = instr
-                        if n - a >= 2:
-                            acc += (coeff * conv_slice(store[left], store[right], n - a)) << (b * width)
-                    else:  # node
-                        _, a, b, coeff, src = instr
-                        if 0 <= n - a:
-                            acc += (coeff * store[src][n - a]) << (b * width)
-                store[ui][n] = acc
+            acc = zero
+            for instr in plans[ui]:
+                kind = instr[0]
+                if kind == "const":
+                    _, a, b, coeff = instr
+                    if a == n:
+                        acc += _bigint(coeff) << (b * width)
+                elif kind == "lin":
+                    _, a, b, coeff, src = instr
+                    if 1 <= n - a:
+                        acc += (coeff * store[src][n - a]) << (b * width)
+                elif kind == "prod":
+                    _, a, b, coeff, left, right = instr
+                    if n - a >= 2:
+                        acc += (coeff * conv_slice(store[left], store[right], n - a)) << (b * width)
+                else:  # node
+                    _, a, b, coeff, src = instr
+                    if 0 <= n - a:
+                        acc += (coeff * store[src][n - a]) << (b * width)
+            store[ui][n] = acc
         for sid, members in sum_nodes:
-            if use_dict:
-                acc = {}
-                for mdx in members:
-                    _DictOps.add_into(acc, store[mdx][n])
-                store[sid][n] = acc
-            else:
-                store[sid][n] = sum(store[mdx][n] for mdx in members)
+            store[sid][n] = sum(store[mdx][n] for mdx in members)
 
     def unpack(idx: int) -> TruncatedSeries:
         if nvars == 1:
             return TruncatedSeries((system.weight_vars[0],), order,
                                    dense=tuple(int(v) for v in store[idx]))
         coeffs: dict[tuple[int, int], int] = {}
-        if use_dict:
-            for n in range(order + 1):
-                for yk, c in store[idx][n].items():
-                    if c:
-                        coeffs[(n, yk)] = c
-        else:
-            mask = (1 << width) - 1
-            for n in range(order + 1):
-                v = store[idx][n]
-                yk = 0
-                while v:
-                    c = v & mask
-                    if c:
-                        if c > coeff_bound:
-                            raise ArithmeticError(
-                                "packed coefficient exceeds the declared bound; "
-                                "the bound passed to solve_truncated was too small"
-                            )
-                        coeffs[(n, yk)] = int(c)
-                    v >>= width
-                    yk += 1
+        mask = (1 << width) - 1
+        for n in range(order + 1):
+            v = store[idx][n]
+            yk = 0
+            while v:
+                c = v & mask
+                if c:
+                    if c > ceiling[n]:
+                        raise ArithmeticError(
+                            f"packed coefficient at degree {n} exceeds the majorant "
+                            f"bound {ceiling[n]}"
+                        )
+                    coeffs[(n, yk)] = int(c)
+                v >>= width
+                yk += 1
         return TruncatedSeries(tuple(system.weight_vars), order, sparse=coeffs)
 
     target_acc = None
@@ -541,8 +490,7 @@ def en_series(pattern: Tree, order: int) -> TruncatedSeries:
         raise ValueError("order must be >= 1")
     system = enumeration_system(pattern, reduced=True, marked=True, leaf_weights=True)
     leaves = _leaf_order(order)
-    bound = catalan(max(leaves - 1, 0))
-    _, tz = solve_truncated(system, leaves, coeff_bound=bound, include_unknowns=False)
+    _, tz = solve_truncated(system, leaves, include_unknowns=False)
     coeffs = {(2 * n - 1, k): c for (n, k), c in tz.nonzero_items()}
     return TruncatedSeries.bivariate(("x", "y"), order, coeffs)
 

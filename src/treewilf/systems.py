@@ -28,12 +28,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .grammar import Grammar
+from .grammar import Grammar, GrammarSizeError, build_Ld
 from .trees import (
     Alphabet,
     PatternSet,
     Tree,
-    avoids,
     emit_polish,
     height,
     is_rooted_subtree,
@@ -183,23 +182,6 @@ def cs_system(grammar: Grammar, weights: dict[str, tuple[int, ...]] | None = Non
     )
 
 
-def _avoiders_up_to_height(alphabet: Alphabet, patterns: PatternSet, h: int,
-                           max_size: int | None = None) -> list[Tree]:
-    x = Tree(alphabet.free_end)
-    layer: list[Tree] = [x]
-    for _ in range(h):
-        nxt = [x]
-        for label, k in alphabet.internal_labels:
-            for kids in product(layer, repeat=k):
-                nxt.append(Tree(label, kids))
-        layer = nxt
-        if max_size is not None and len(layer) > max_size:
-            raise SystemSizeError(f"height-{h} layer exceeds {max_size} trees")
-    plist = patterns.patterns
-    out = [t for t in layer if avoids(t, plist)]
-    return sorted(out, key=lambda t: word_key(t, alphabet))
-
-
 def stamp_system(alphabet: Alphabet, patterns: PatternSet,
                  max_stamps: int | None = 20000) -> AlgebraicSystem:
     """Leaf-graded avoidance system with unknowns indexed by stamps: avoiding
@@ -212,7 +194,10 @@ def stamp_system(alphabet: Alphabet, patterns: PatternSet,
     avoiders by leaf count (operad arity).
     """
     level = max(patterns.d - 1, 0)
-    stamps = _avoiders_up_to_height(alphabet, patterns, level, max_size=max_stamps)
+    try:
+        stamps = build_Ld(alphabet, patterns, max_size=max_stamps, height=level)
+    except GrammarSizeError as exc:
+        raise SystemSizeError(str(exc)) from exc
     index = {s: i for i, s in enumerate(stamps)}
     equations: list[list[Monomial]] = [[] for _ in stamps]
     plist = patterns.patterns

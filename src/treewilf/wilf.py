@@ -101,12 +101,6 @@ class ClassificationReport:
 CSV_HEADER = "n,K,mode,class_count,pattern_count,seconds"
 
 
-def _series_key(word: str, order: int, mode: str) -> bytes:
-    tree = parse_polish(word, _BINARY)
-    series = en_series(tree, order) if mode == "en" else av_series(tree, order)
-    return series.serialize().encode()
-
-
 def _sweep_worker(args) -> tuple[str, list[tuple[int, str, bytes]]]:
     """Solve one representative pattern and emit (order, digest, blob) per
     requested truncation order.  Restriction of a solved series to a lower
@@ -126,7 +120,10 @@ def _sweep_worker(args) -> tuple[str, list[tuple[int, str, bytes]]]:
 def default_workers() -> int:
     env = os.environ.get("TREEWILF_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"TREEWILF_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

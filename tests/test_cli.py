@@ -78,6 +78,11 @@ class TestSystemCommand:
         assert code == 0
         assert "vars: x,y" in out
 
+    def test_stamp_over_budget(self, capsys):
+        code, _, err = run(capsys, "system", "--method", "stamp", "--patterns", "mmmmmmxxxxxxx")
+        assert code == 3
+        assert "resource bound exceeded" in err
+
 
 class TestEliminateCommand:
     def test_free_language(self, capsys):
@@ -152,3 +157,13 @@ class TestUsageErrors:
     def test_bad_alphabet(self, capsys):
         code, _, err = run(capsys, "grammar", "--alphabet", "m:2", "--patterns", "")
         assert code == 1
+
+    def test_bad_workers_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("TREEWILF_WORKERS", "abc")
+        code, _, err = run(capsys, "classify", "-n", "3", "--quiet")
+        assert code == 1
+        assert err.startswith("error: ") and "TREEWILF_WORKERS" in err
+        # only classify reads the variable
+        code, out, _ = run(capsys, "series", "--pattern", "mxx")
+        assert code == 0
+        assert out.startswith("v=x;")

@@ -3,9 +3,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from treewilf.grammar import build_grammar
-from treewilf.oracle import brute_histogram, count_avoiders
+from treewilf.oracle import brute_histogram, count_avoiders, enumerate_trees
 from treewilf.series import (
     TruncatedSeries,
+    _majorant,
     av_series,
     en_series,
     en_slice_y0,
@@ -14,9 +15,19 @@ from treewilf.series import (
     verify_solution,
 )
 from treewilf.systems import cs_system, enumeration_system, stamp_system
-from treewilf.trees import Alphabet, PatternSet, catalan, enumerate_binary_patterns, parse_polish
+from treewilf.trees import (
+    Alphabet,
+    PatternSet,
+    avoids,
+    catalan,
+    enumerate_binary_patterns,
+    parse_polish,
+    subtrees,
+    vertex_count,
+)
 
 BIN = Alphabet.binary()
+MIXED = Alphabet(labels=(("m", 2), ("w", 3), ("x", 0)), free_end="x")
 
 small_coeffs = st.lists(st.integers(-50, 50), min_size=1, max_size=8)
 
@@ -135,17 +146,35 @@ class TestSolver:
         sol, _ = solve_truncated(system, 11)
         assert verify_solution(system, sol, 11)
 
-    def test_packed_and_dict_rings_agree(self):
-        system = enumeration_system(parse_polish("mxmxmxx", BIN))
-        sol_d, t_dict = solve_truncated(system, 15)
-        sol_p, t_packed = solve_truncated(system, 15, coeff_bound=catalan(7))
-        assert t_dict == t_packed
-        assert sol_d == sol_p
+    def test_packed_ring_matches_substitution_and_oracle(self):
+        pattern = parse_polish("mxmxmxx", BIN)
+        system = enumeration_system(pattern)
+        sol, target = solve_truncated(system, 15)
+        assert verify_solution(system, sol, 15)
+        assert dict(target.nonzero_items()) == brute_histogram(BIN, pattern, 7).entries
 
-    def test_packed_bound_violation_detected(self):
-        system = enumeration_system(parse_polish("mxx", BIN))
-        with pytest.raises(ArithmeticError):
-            solve_truncated(system, 15, coeff_bound=2)
+    def test_packed_ring_chain_nodes(self):
+        # the ternary label w gives 3-factor monomials, which run through chain nodes
+        ps = PatternSet(MIXED, (parse_polish("mmxxx", MIXED), parse_polish("wxmxxx", MIXED)))
+        weights = {"m": (1, 0), "w": (1, 1), "x": (1, 0)}
+        system = cs_system(build_grammar(MIXED, ps), weights, ("x", "y"))
+        assert any(len(m.factors) == 3 for eq in system.equations for m in eq)
+        sol, target = solve_truncated(system, 13)
+        assert verify_solution(system, sol, 13)
+        # every tree with at most 10 vertices has at most 4 internal nodes
+        expected: dict[tuple[int, int], int] = {}
+        for tree in enumerate_trees(MIXED, 4):
+            if avoids(tree, ps.patterns) and vertex_count(tree) <= 10:
+                key = (vertex_count(tree), sum(t.label == "w" for t in subtrees(tree)))
+                expected[key] = expected.get(key, 0) + 1
+        assert {e: c for e, c in target.nonzero_items() if e[0] <= 10} == expected
+
+    @pytest.mark.parametrize("leaves", [2, 3, 4, 5])
+    def test_occurrence_majorant_is_catalan(self, leaves):
+        for pattern in enumerate_binary_patterns(leaves):
+            system = enumeration_system(pattern, leaf_weights=True)
+            _, s = solve_truncated(_majorant(system), 12)
+            assert s.dense_coefficients() == tuple([0] + [catalan(n - 1) for n in range(1, 13)])
 
     def test_parity(self):
         system = enumeration_system(parse_polish("mmxxx", BIN))
