@@ -32,9 +32,15 @@ def main() -> int:
     parser.add_argument("--until", type=int, default=9)
     parser.add_argument("--modes", default="av,en")
     parser.add_argument("--deep", action="store_true")
-    parser.add_argument("--workers", type=int, default=default_workers())
+    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--out-dir", default="sweep-results")
     args = parser.parse_args()
+    if args.workers is None:
+        try:
+            args.workers = default_workers()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
     if args.until >= 10 and not args.deep:
         print("n >= 10 is hours-scale; pass --deep to confirm", file=sys.stderr)

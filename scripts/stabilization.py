@@ -20,8 +20,14 @@ def main() -> int:
     parser.add_argument("-n", "--leaves", type=int, required=True)
     parser.add_argument("--orders", default="16,32,64,128,257")
     parser.add_argument("--mode", choices=("av", "en"), default="av")
-    parser.add_argument("--workers", type=int, default=default_workers())
+    parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args()
+    if args.workers is None:
+        try:
+            args.workers = default_workers()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
     orders = sorted(int(k) for k in args.orders.split(","))
     scan = stabilization_scan(args.leaves, orders, args.mode, workers=args.workers)

@@ -1,20 +1,22 @@
 """Exact polynomial algebra: variable elimination by iterated resultants,
 divisibility over Q[x], and annihilation tests against truncated series.
 
-All arithmetic is over the integers; divisions inside the subresultant
-remainder sequence are exact by construction and asserted.  The resultant of
-two polynomials lies in the ideal they generate, so every polynomial
-produced by eliminate vanishes on any common solution of the system; the
-annihilation test makes that checkable against solved series.
+Every polynomial is one representation, MPoly: a sparse dict from exponent
+tuples to integer coefficients.  BivarPoly is an immutable view of an MPoly
+in (G, x), and a content in Z[x] is an MPoly over (x,).  All arithmetic is
+over the integers: divisions inside the subresultant remainder sequence and
+by a content are exact by construction and checked.  The resultant of two
+polynomials lies in the ideal they generate, so every polynomial produced by
+eliminate vanishes on any common solution of the system; the annihilation
+test makes that checkable against solved series.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
-from math import gcd as _int_gcd
+from functools import cached_property, reduce
+from math import gcd
 
 from .series import TruncatedSeries
 from .systems import AlgebraicSystem
@@ -190,6 +192,28 @@ def mp_resultant(p: MPoly, q: MPoly, var: int) -> MPoly:
             return mp_scale(num, sign)
 
 
+def mp_primitive(p: MPoly) -> MPoly:
+    """p divided by the gcd of its coefficients, signed so that the
+    coefficient of the lexicographically largest exponent is positive."""
+    c = gcd(*p.values())
+    if p[max(p)] < 0:
+        c = -c
+    return {e: v // c for e, v in p.items()}
+
+
+def mp_univariate_gcd(p: MPoly, q: MPoly) -> MPoly:
+    """Gcd in Z[x] of two polynomials over (x,), not both zero, by the
+    primitive polynomial remainder sequence, with positive leading coefficient."""
+    c = gcd(*p.values(), *q.values())
+    if mp_degree(p, 0) < mp_degree(q, 0):
+        p, q = q, p
+    p = mp_primitive(p)
+    while q:
+        q = mp_primitive(q)
+        p, q = q, mp_prem(p, q, 0)
+    return mp_scale(p, c)
+
+
 # -- bivariate polynomials in (G, x) ----------------------------------------------
 
 
@@ -197,9 +221,10 @@ def mp_resultant(p: MPoly, q: MPoly, var: int) -> MPoly:
 class BivarPoly:
     """Polynomial in the series unknown G with integer polynomial coefficients in x.
 
-    terms maps (g_degree, x_degree) -> coefficient.  Content (the common
-    Q[x] factor of the G-coefficients) is never stripped implicitly; use
-    content_and_primitive explicitly.
+    terms is the MPoly in (G, x), (g_degree, x_degree) -> coefficient, frozen
+    as a sorted tuple; as_dict() returns it for the mp_* operations.  Content
+    (the common Z[x] factor of the G-coefficients) is never stripped
+    implicitly; use content_and_primitive explicitly.
     """
 
     terms: tuple[tuple[tuple[int, int], int], ...]
@@ -229,48 +254,32 @@ class BivarPoly:
         return {xd: c for (gg, xd), c in self.terms if gg == g}
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        d = self.as_dict()
-        for k, v in other.terms:
-            d[k] = d.get(k, 0) + v
-        return BivarPoly.from_dict(d)
+        return BivarPoly.from_dict(mp_add(self.as_dict(), other.as_dict()))
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        d = self.as_dict()
-        for k, v in other.terms:
-            d[k] = d.get(k, 0) - v
-        return BivarPoly.from_dict(d)
+        return BivarPoly.from_dict(mp_add(self.as_dict(), mp_neg(other.as_dict())))
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        out: dict[tuple[int, int], int] = {}
-        for (g1, x1), c1 in self.terms:
-            for (g2, x2), c2 in other.terms:
-                k = (g1 + g2, x1 + x2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return BivarPoly.from_dict(out)
+        return BivarPoly.from_dict(mp_mul(self.as_dict(), other.as_dict()))
 
     def scale(self, c: int) -> "BivarPoly":
-        return BivarPoly.from_dict({k: c * v for k, v in self.terms})
+        return BivarPoly.from_dict(mp_scale(self.as_dict(), c))
 
-    def content_and_primitive(self) -> tuple[list[int], "BivarPoly"]:
-        """The Z[x] content (gcd of the G-coefficients, as a dense coefficient
-        list with positive leading coefficient) and the matching primitive part."""
+    def content_and_primitive(self) -> tuple[MPoly, "BivarPoly"]:
+        """The Z[x] content, as an MPoly over (x,) with positive leading
+        coefficient, and the matching primitive part.
+
+        The content is the gcd of the G-coefficients; by Gauss's lemma it
+        divides each of them in Z[x], so the division is exact over Z.
+        """
         if self.is_zero():
-            return [0], self
-        polys = [self.g_coefficient(g) for g in range(self.g_degree + 1)]
-        dense = [_sparse_to_dense(p) for p in polys if p]
-        g = dense[0]
-        for other in dense[1:]:
-            g = _zx_gcd(g, other)
-        prim: dict[tuple[int, int], int] = {}
-        for gg in range(self.g_degree + 1):
-            coeff = _sparse_to_dense(self.g_coefficient(gg))
-            if coeff == [0]:
-                continue
-            q = _zx_divexact(coeff, g)
-            for xd, c in enumerate(q):
-                if c:
-                    prim[(gg, xd)] = c
-        return g, BivarPoly.from_dict(prim)
+            return {}, self
+        coeffs: dict[int, MPoly] = {}
+        for (g, xd), c in self.terms:
+            coeffs.setdefault(g, {})[(xd,)] = c
+        content = reduce(mp_univariate_gcd, coeffs.values(), {})
+        lifted = {(0, xd): c for (xd,), c in content.items()}
+        return content, BivarPoly.from_dict(mp_divexact(self.as_dict(), lifted))
 
     def canonical_text(self) -> str:
         """Stable text form: terms sorted by G-degree then x-degree."""
@@ -299,125 +308,16 @@ class BivarPoly:
         return " + ".join(chunks)
 
 
-def _sparse_to_dense(p: dict[int, int]) -> list[int]:
-    if not p:
-        return [0]
-    out = [0] * (max(p) + 1)
-    for e, c in p.items():
-        out[e] = c
-    return out
-
-
-def _zx_trim(p: list[int]) -> list[int]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _zx_content(p: list[int]) -> int:
-    g = 0
-    for c in p:
-        g = _int_gcd(g, abs(c))
-    return g or 1
-
-
-def _zx_primitive(p: list[int]) -> list[int]:
-    g = _zx_content(p)
-    out = [c // g for c in p]
-    if out[-1] < 0:
-        out = [-c for c in out]
-    return out
-
-
-def _zx_prem(p: list[int], q: list[int]) -> list[int]:
-    p = _zx_trim(list(p))
-    q = _zx_trim(list(q))
-    dq = len(q) - 1
-    lcq = q[-1]
-    while len(p) - 1 >= dq and p != [0]:
-        dp = len(p) - 1
-        lcp = p[-1]
-        p = [lcq * c for c in p]
-        for i, qc in enumerate(q):
-            p[dp - dq + i] -= lcp * qc
-        p = _zx_trim(p)
-        if p == [0]:
-            break
-    return p
-
-
-def _zx_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd in Z[x] (primitive PRS), positive leading coefficient."""
-    a = _zx_trim(list(a))
-    b = _zx_trim(list(b))
-    if a == [0]:
-        return _zx_primitive(b) if b != [0] else [0]
-    if b == [0]:
-        return _zx_primitive(a)
-    ca, cb = _zx_content(a), _zx_content(b)
-    a, b = _zx_primitive(a), _zx_primitive(b)
-    while True:
-        if len(b) - 1 > len(a) - 1:
-            a, b = b, a
-        r = _zx_prem(a, b)
-        if r == [0]:
-            return [_int_gcd(ca, cb) * c for c in _zx_primitive(b)]
-        if len(r) == 1:
-            return [_int_gcd(ca, cb)]
-        a, b = b, _zx_primitive(r)
-
-
-def _zx_divexact(p: list[int], q: list[int]) -> list[int]:
-    """Exact division in Q[x] returning integer coefficients; raises when inexact."""
-    p = [Fraction(c) for c in _zx_trim(list(p))]
-    q = _zx_trim(list(q))
-    if q == [0]:
-        raise ZeroDivisionError
-    dq = len(q) - 1
-    out = [Fraction(0)] * max(len(p) - dq, 1)
-    while len(p) - 1 >= dq and any(p):
-        while len(p) > 1 and p[-1] == 0:
-            p.pop()
-        if len(p) - 1 < dq:
-            break
-        c = p[-1] / q[-1]
-        out[len(p) - 1 - dq] = c
-        for i, qc in enumerate(q):
-            p[len(p) - 1 - dq + i] -= c * qc
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    if p != [Fraction(0)]:
-        raise ArithmeticError("inexact univariate division")
-    if any(c.denominator != 1 for c in out):
-        raise ArithmeticError("non-integer quotient")
-    return _zx_trim([int(c) for c in out])
-
-
-def _zx_divides_q(den: list[int], num: list[int]) -> bool:
-    """True iff den divides num in Q[x]."""
-    num = [Fraction(c) for c in _zx_trim(list(num))]
-    den = _zx_trim(list(den))
-    if den == [0]:
-        return num == [Fraction(0)]
-    dd = len(den) - 1
-    while len(num) - 1 >= dd and any(num):
-        c = num[-1] / den[-1]
-        for i, qc in enumerate(den):
-            num[len(num) - 1 - dd + i] -= c * qc
-        while len(num) > 1 and num[-1] == 0:
-            num.pop()
-    return not any(num)
-
-
 # -- the public operations ---------------------------------------------------------
 
 
 def poly_divides(p: BivarPoly, q: BivarPoly) -> bool:
     """True iff p = q * r for some polynomial r with rational coefficients in x.
 
-    Split off Q[x] contents (Gauss), then test the primitive parts by
-    pseudo-division: a zero pseudo-remainder is equivalent to divisibility
-    over the fraction field, and for primitive parts that descends to Z[x][G].
+    Split off the Z[x] contents (Gauss), then test the contents in x and the
+    primitive parts in G by pseudo-division: a zero pseudo-remainder is
+    equivalent to divisibility over the fraction field, and for primitive
+    parts that descends to Z[x][G].
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -427,21 +327,9 @@ def poly_divides(p: BivarPoly, q: BivarPoly) -> bool:
         return False
     cont_p, prim_p = p.content_and_primitive()
     cont_q, prim_q = q.content_and_primitive()
-    if not _zx_divides_q(cont_q, cont_p):
+    if mp_prem(cont_p, cont_q, 0):
         return False
-    rem = _bivar_prem(prim_p, prim_q)
-    return rem.is_zero()
-
-
-def _bivar_prem(p: BivarPoly, q: BivarPoly) -> BivarPoly:
-    dq = q.g_degree
-    lcq = BivarPoly.from_dict({(0, xd): c for xd, c in q.g_coefficient(dq).items()})
-    rem = p
-    while not rem.is_zero() and rem.g_degree >= dq:
-        dr = rem.g_degree
-        lcr = BivarPoly.from_dict({(dr - dq, xd): c for xd, c in rem.g_coefficient(dr).items()})
-        rem = rem * lcq - lcr * q
-    return rem
+    return not mp_prem(prim_p.as_dict(), prim_q.as_dict(), 0)
 
 
 def annihilates(p: BivarPoly, series: TruncatedSeries, order: int) -> bool:

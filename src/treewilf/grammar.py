@@ -109,15 +109,16 @@ def build_Ld(alphabet: Alphabet, patterns: PatternSet, max_size: int | None = No
     layer: list[Tree] = [x]
     for _ in range(d):
         # every tree of height <= h is either x or a root over height <= h-1 trees
+        size = 1 + sum(len(layer) ** k for _, k in alphabet.internal_labels)
+        if max_size is not None and size > max_size:
+            raise GrammarSizeError(
+                f"height-{d} tree layer exceeds the budget of {max_size} candidates"
+            )
         nxt = [x]
         for label, k in alphabet.internal_labels:
             for kids in product(layer, repeat=k):
                 nxt.append(Tree(label, kids))
         layer = nxt
-        if max_size is not None and len(layer) > max_size:
-            raise GrammarSizeError(
-                f"height-{d} tree layer exceeds the budget of {max_size} candidates"
-            )
     plist = patterns.patterns
     avoiders = [t for t in layer if avoids(t, plist)]
     return sorted(avoiders, key=lambda t: word_key(t, alphabet))

@@ -355,27 +355,18 @@ def _reduced_occurrence_system(pattern: Tree, marked: bool, leaf_weights: bool) 
     )
 
 
-def _all_trees_up_to_height(h: int, max_states: int) -> list[Tree]:
-    x = Tree("x")
-    layer: list[Tree] = [x]
-    for _ in range(h):
-        nxt = [x]
-        for kids in product(layer, repeat=2):
-            nxt.append(Tree("m", kids))
-        if len(nxt) > max_states:
-            raise SystemSizeError(
-                f"height-{h} truncation states exceed {max_states}; "
-                "use the reduced construction for tall patterns"
-            )
-        layer = nxt
-    return sorted(layer, key=lambda t: word_key(t, Alphabet.binary()))
-
-
 def _truncation_occurrence_system(pattern: Tree, marked: bool, leaf_weights: bool,
                                   max_states: int) -> AlgebraicSystem:
     _require_binary_pattern(pattern)
     d = height(pattern)
-    states = _all_trees_up_to_height(d - 1, max_states)
+    binary = Alphabet.binary()
+    try:
+        states = build_Ld(binary, PatternSet(binary, ()), max_size=max_states, height=d - 1)
+    except GrammarSizeError as exc:
+        raise SystemSizeError(
+            f"height-{d - 1} truncation states exceed {max_states}; "
+            "use the reduced construction for tall patterns"
+        ) from exc
     index = {s: i for i, s in enumerate(states)}
     weight_vars = (("z",) if leaf_weights else ("x",)) + (("y",) if marked else ())
     nv = len(weight_vars)

@@ -318,6 +318,3 @@ class PatternSet:
     @cached_property
     def degenerate(self) -> bool:
         return any(p.is_free_end() for p in self.patterns)
-
-    def sorted_patterns(self) -> list[Tree]:
-        return sorted(self.patterns, key=lambda t: word_key(t, self.alphabet))

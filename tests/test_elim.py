@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treewilf.elim import (
     COLLAPSE_MEMBER,
@@ -13,6 +15,7 @@ from treewilf.elim import (
     annihilates,
     collapse_certificate,
     eliminate,
+    mp_degree,
     mp_resultant,
     poly_divides,
 )
@@ -193,3 +196,74 @@ class TestWitnessFixtures:
 
     def test_certificate(self):
         assert collapse_certificate(100)
+
+
+# -- property tests against sympy, which shares no code with elim --------------
+
+def mpolys(nvars: int):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars),
+                           st.integers(-5, 5).filter(bool), min_size=1, max_size=5)
+
+
+def bivars():
+    return mpolys(2).map(BivarPoly.from_dict)
+
+
+def x_factors():
+    # a polynomial in x alone, lifted to (G, x): a content for a bivariate product
+    return mpolys(1).map(lambda p: BivarPoly.from_dict({(0, xd): c for (xd,), c in p.items()}))
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sp, p: dict, gens):
+    return sp.Poly.from_dict(p, *gens).as_expr()
+
+
+def from_sympy(sp, expr, gens) -> dict:
+    return {e: int(c) for e, c in sp.Poly(expr, *gens).as_dict().items()}
+
+
+class TestAgainstSympy:
+    @settings(max_examples=50, deadline=None)
+    @given(mpolys(2), mpolys(2), st.integers(0, 1))
+    def test_resultant(self, sp, p, q, var):
+        assume(max(mp_degree(p, var), mp_degree(q, var)) >= 1)
+        # the determinant of the Sylvester matrix, which defines the resultant;
+        # sympy.resultant itself returns res(q, p) when p has the lower degree
+        from sympy.polys.subresultants_qq_zz import sylvester
+
+        gens = sp.symbols("x y")
+        want = sylvester(to_sympy(sp, p, gens), to_sympy(sp, q, gens), gens[var]).det()
+        assert mp_resultant(p, q, var) == from_sympy(sp, sp.expand(want), gens)
+
+    @settings(max_examples=50, deadline=None)
+    @given(bivars(), x_factors())
+    def test_content_and_primitive(self, sp, a, c):
+        poly = a * c
+        G, x = gens = sp.symbols("G x")
+        want_content, want_prim = sp.Poly(to_sympy(sp, poly.as_dict(), gens), G,
+                                          domain=sp.ZZ[x]).primitive()
+        if sp.Poly(want_content, x).LC() < 0:
+            want_content, want_prim = -want_content, -want_prim
+        content, prim = poly.content_and_primitive()
+        assert content == from_sympy(sp, want_content, (x,))
+        assert prim.as_dict() == from_sympy(sp, want_prim.as_expr(), gens)
+
+    @settings(max_examples=50, deadline=None)
+    @given(bivars(), bivars(), x_factors())
+    def test_divides(self, sp, a, b, c):
+        b = b * c
+        gens = sp.symbols("G x")
+
+        def divides_over_q(p, q):
+            _, rem = sp.div(sp.Poly.from_dict(p.as_dict(), *gens, domain=sp.QQ),
+                            sp.Poly.from_dict(q.as_dict(), *gens, domain=sp.QQ))
+            return rem.is_zero
+
+        assert poly_divides(a * b, b) and divides_over_q(a * b, b)
+        assert poly_divides(a, b) == divides_over_q(a, b)
+        assert poly_divides(b, a) == divides_over_q(b, a)

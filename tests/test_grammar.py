@@ -4,6 +4,7 @@ import pytest
 
 from treewilf.grammar import (
     Grammar,
+    GrammarSizeError,
     build_grammar,
     build_Ld,
     count_derivations,
@@ -59,6 +60,29 @@ class TestBuildLd:
     def test_degenerate(self):
         ps = PatternSet.from_words(["x"], allow_degenerate=True)
         assert build_Ld(BIN, ps) == []
+
+    @pytest.mark.parametrize("alphabet, sizes", [(BIN, [2, 5, 26, 677]), (MIXED, [3, 37])])
+    def test_budget_boundary(self, alphabet, sizes):
+        # layer h has 1 + sum_k |layer h-1|^k trees; a budget of exactly that passes
+        empty = PatternSet(alphabet, ())
+        for h, size in enumerate(sizes, start=1):
+            assert len(build_Ld(alphabet, empty, max_size=size, height=h)) == size
+            with pytest.raises(GrammarSizeError):
+                build_Ld(alphabet, empty, max_size=size - 1, height=h)
+
+    def test_over_budget_layer_is_not_built(self, monkeypatch):
+        built = [0]
+
+        def counting_tree(*args):
+            built[0] += 1
+            return Tree(*args)
+
+        monkeypatch.setattr("treewilf.grammar.Tree", counting_tree)
+        comb7 = PatternSet.from_words(["m" * 6 + "x" * 7])
+        with pytest.raises(GrammarSizeError, match="height-5 tree layer exceeds the budget of 20000"):
+            build_Ld(BIN, comb7, max_size=20000, height=5)
+        # the height-5 layer alone would hold 1 + 677^2 = 458330 trees
+        assert 0 < built[0] <= 20000
 
 
 class TestMembershipClass:
