@@ -3,8 +3,8 @@
 The pipeline: trees and patterns (trees), brute-force ground truth (oracle),
 the unambiguous avoidance grammar (grammar), algebraic fixed-point systems
 (systems), exact truncated-series solving (series), polynomial elimination
-and divisibility certificates (elim), and the Wilf / enumeration-class
-sweep driver (wilf).
+and divisibility certificates (elim), the Wilf / enumeration-class
+sweep driver (wilf), and the oracle-backed verification suites (verify).
 """
 
 from .trees import (

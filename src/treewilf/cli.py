@@ -8,32 +8,15 @@ machine-parsable.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
-from . import oracle
-from .elim import (
-    EliminationBoundError,
-    EliminationError,
-    annihilates,
-    collapse_certificate,
-    eliminate,
-)
-from .grammar import GrammarSizeError, build_grammar, build_Ld, count_derivations, membership_class, membership_class_setwise
-from .series import av_series, en_series, en_slice_y0, solve_truncated, to_operad_series
+from . import verify
+from .elim import EliminationBoundError, EliminationError, annihilates, eliminate
+from .grammar import GrammarSizeError, build_grammar
+from .series import av_series, en_series, solve_truncated, to_operad_series
 from .systems import SystemSizeError, cs_system, enumeration_system, stamp_system
-from .trees import (
-    Alphabet,
-    ParseError,
-    PatternSet,
-    Tree,
-    avoids,
-    count_occurrences,
-    emit_polish,
-    mirror,
-    parse_polish,
-)
+from .trees import Alphabet, ParseError, PatternSet, Tree, parse_polish
 from .wilf import classify, default_workers
 
 
@@ -58,11 +41,15 @@ def _alphabet(args) -> Alphabet:
 def _patterns(args, alphabet: Alphabet) -> PatternSet:
     words: list[str] = []
     if getattr(args, "patterns_file", None):
-        with open(args.patterns_file) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    words.append(line)
+        try:
+            with open(args.patterns_file) as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            raise ValidationError(f"patterns file {args.patterns_file!r}: {exc.strerror}") from exc
+        for line in lines:
+            line = line.split("#", 1)[0].strip()
+            if line:
+                words.append(line)
     if args.patterns:
         words.extend(w.strip() for w in args.patterns.split(",") if w.strip())
     trees = []
@@ -155,7 +142,7 @@ def cmd_system(args) -> int:
         else:
             if len(patterns.patterns) != 1:
                 raise ValidationError("--method en takes exactly one pattern")
-            system = enumeration_system(patterns.patterns[0], reduced=not args.truncation_states)
+            system = enumeration_system(patterns.patterns[0])
     except (GrammarSizeError, SystemSizeError) as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return 3
@@ -166,11 +153,11 @@ def cmd_system(args) -> int:
 def cmd_eliminate(args) -> int:
     alphabet = _alphabet(args)
     patterns = _patterns(args, alphabet)
-    system = cs_system(build_grammar(alphabet, patterns, max_nonterminals=args.max_nonterminals))
     try:
+        system = cs_system(build_grammar(alphabet, patterns, max_nonterminals=args.max_nonterminals))
         poly = eliminate(system, max_unknowns=args.max_unknowns,
                          deadline_seconds=args.deadline)
-    except EliminationBoundError as exc:
+    except (GrammarSizeError, EliminationBoundError) as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return 3
     except EliminationError as exc:
@@ -184,135 +171,29 @@ def cmd_eliminate(args) -> int:
     return 0 if ok else 2
 
 
-def _verify_oracle(args, failures: list[str]) -> None:
-    alphabet = Alphabet.binary()
-    from .trees import enumerate_binary_patterns
-
-    bound = args.max_nodes
-    order = 2 * bound + 1
-    for leaves in range(2, args.max_leaves + 1):
-        for pattern in enumerate_binary_patterns(leaves):
-            word = emit_polish(pattern)
-            hist = oracle.brute_histogram(alphabet, pattern, bound)
-            en = en_series(pattern, order)
-            av = av_series(pattern, order)
-            ok = all(en.coefficient(n, k) == c for (n, k), c in hist.entries.items())
-            ok = ok and all(hist.entries.get((n, k), 0) == c
-                            for (n, k), c in en.nonzero_items() if n <= 2 * bound + 1)
-            ok = ok and en_slice_y0(en) == av
-            ok = ok and av.is_nonnegative()
-            if not ok:
-                failures.append(f"oracle: series mismatch for pattern {word}")
-    print(f"oracle suite: patterns up to {args.max_leaves} leaves vs trees up to "
-          f"{bound} internal nodes: {'pass' if not failures else 'FAIL'}")
-
-
-def _verify_grammar(args, failures: list[str]) -> None:
-    alphabet = Alphabet.binary()
-    pattern_set = (
-        _patterns(args, alphabet)
-        if args.patterns
-        else PatternSet.from_words(["mmxxx"], alphabet)
-    )
-    g = build_grammar(alphabet, pattern_set)
-    bad = 0
-    for tree in oracle.trees_up_to_word_length(alphabet, args.max_len):
-        word = emit_polish(tree)
-        expected = 1 if avoids(tree, pattern_set.patterns) else 0
-        if count_derivations(g, word) != expected:
-            bad += 1
-            failures.append(f"grammar: derivation count wrong for {word}")
-    for word in ("m", "mmxx", "xm", "mxxx"):
-        if count_derivations(g, word) != 0:
-            bad += 1
-            failures.append(f"grammar: malformed word {word} derived")
-    print(f"grammar suite: words up to length {args.max_len}: {'pass' if not bad else 'FAIL'}")
-
-
-def _verify_partition(args, failures: list[str]) -> None:
-    alphabet = Alphabet.binary()
-    pattern_set = (
-        _patterns(args, alphabet)
-        if args.patterns
-        else PatternSet.from_words(["mmxxx"], alphabet)
-    )
-    Ld = build_Ld(alphabet, pattern_set)
-    seen = {emit_polish(v): 0 for v in Ld}
-    bad = 0
-    for tree in oracle.enumerate_trees(alphabet, args.max_nodes):
-        v1 = membership_class(tree, pattern_set)
-        v2 = membership_class_setwise(tree, pattern_set, Ld)
-        if avoids(tree, pattern_set.patterns):
-            if v1 is None or v1 != v2 or v1 not in Ld:
-                bad += 1
-                failures.append(f"partition: class mismatch for {emit_polish(tree)}")
-            else:
-                seen[emit_polish(v1)] += 1
-        elif v1 is not None or v2 is not None:
-            bad += 1
-            failures.append(f"partition: non-avoider classified: {emit_polish(tree)}")
-    print(f"partition suite: avoiders up to {args.max_nodes} internal nodes "
-          f"over {len(Ld)} blocks: {'pass' if not bad else 'FAIL'}")
-
-
-def _verify_mirror(args, failures: list[str]) -> None:
-    alphabet = Alphabet.binary()
-    from .trees import enumerate_binary_patterns
-
-    bad = 0
-    for leaves in range(2, args.max_leaves + 1):
-        for pattern in enumerate_binary_patterns(leaves):
-            m = mirror(pattern)
-            for tree in oracle.enumerate_trees(alphabet, min(args.max_nodes, 5)):
-                if count_occurrences(tree, pattern) != count_occurrences(mirror(tree), m):
-                    bad += 1
-                    failures.append(f"mirror: occurrence count broken for {emit_polish(pattern)}")
-    print(f"mirror suite: {'pass' if not bad else 'FAIL'}")
-
-
-def _verify_eq12(args, failures: list[str]) -> None:
-    ok = collapse_certificate(100)
-    if not ok:
-        failures.append("eq12: certificate failed")
-    print(f"eq12 suite: divisibility + annihilation certificate: {'pass' if ok else 'FAIL'}")
-
-
-def _verify_systems(args, failures: list[str]) -> None:
-    alphabet = Alphabet.binary()
-    from .trees import enumerate_binary_patterns
-
-    bad = 0
-    for leaves in range(2, min(args.max_leaves, 5) + 1):
-        for pattern in enumerate_binary_patterns(leaves):
-            ps = PatternSet(alphabet, (pattern,))
-            stamp = stamp_system(alphabet, ps)
-            cs = cs_system(build_grammar(alphabet, ps))
-            _, st = solve_truncated(stamp, 40)
-            _, ct = solve_truncated(cs, 81)
-            if to_operad_series(ct).restrict(40) != st:
-                bad += 1
-                failures.append(f"systems: stamp/cs disagree for {emit_polish(pattern)}")
-    print(f"systems suite: stamp vs grammar systems to order 40: {'pass' if not bad else 'FAIL'}")
-
-
 def cmd_verify(args) -> int:
-    failures: list[str] = []
+    def pattern_set() -> tuple[Alphabet, PatternSet]:
+        alphabet = _alphabet(args)
+        if args.patterns or args.patterns_file:
+            return alphabet, _patterns(args, alphabet)
+        return alphabet, PatternSet.from_words(["mmxxx"], alphabet)
+
     suites = {
-        "oracle": _verify_oracle,
-        "grammar": _verify_grammar,
-        "partition": _verify_partition,
-        "mirror": _verify_mirror,
-        "eq12": _verify_eq12,
-        "systems": _verify_systems,
+        "oracle": lambda: verify.oracle_suite(args.max_leaves, args.max_nodes),
+        "grammar": lambda: verify.grammar_suite(*pattern_set(), args.max_len),
+        "partition": lambda: verify.partition_suite(*pattern_set(), args.max_nodes),
+        "mirror": lambda: verify.mirror_suite(args.max_leaves, args.max_nodes),
+        "eq12": lambda: verify.eq12_suite(100),
+        "systems": lambda: verify.systems_suite(args.max_leaves),
     }
-    selected = list(suites) if args.suite == "all" else [args.suite]
-    for name in selected:
-        suites[name](args, failures)
-    if failures:
-        for f in failures[:20]:
-            print(f"FAIL {f}", file=sys.stderr)
-        return 2
-    return 0
+    failures: list[str] = []
+    for name in (list(suites) if args.suite == "all" else [args.suite]):
+        result = suites[name]()
+        print(result.line())
+        failures += [f"{name}: {f}" for f in result.failures]
+    for f in failures[:20]:
+        print(f"FAIL {f}", file=sys.stderr)
+    return 2 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("system", help="print an algebraic system in canonical form")
     add_common(p)
     p.add_argument("--method", choices=("cs", "stamp", "en"), default="cs")
-    p.add_argument("--truncation-states", action="store_true",
-                   help="with --method en, use bounded-height truncation states")
     p.set_defaults(func=cmd_system)
 
     p = sub.add_parser("eliminate", help="eliminate unknowns to one polynomial in (x, G)")
@@ -378,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=15)
     p.add_argument("--patterns", "--pattern", default="")
     p.add_argument("--patterns-file", default=None)
-    p.add_argument("--alphabet", default="m:2,x:0")
+    p.add_argument("--alphabet", default="m:2,x:0",
+                   help="alphabet of the grammar and partition suites; the others are binary")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -473,7 +473,7 @@ def av_series(pattern: Tree, order: int) -> TruncatedSeries:
     of binary trees with n vertices containing no occurrence of the pattern."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    system = enumeration_system(pattern, reduced=True, marked=False, leaf_weights=True)
+    system = enumeration_system(pattern, marked=False, leaf_weights=True)
     leaves = _leaf_order(order)
     _, tz = solve_truncated(system, leaves, include_unknowns=False)
     dense = [0] * (order + 1)
@@ -488,7 +488,7 @@ def en_series(pattern: Tree, order: int) -> TruncatedSeries:
     Its y=0 slice equals av_series."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    system = enumeration_system(pattern, reduced=True, marked=True, leaf_weights=True)
+    system = enumeration_system(pattern, marked=True, leaf_weights=True)
     leaves = _leaf_order(order)
     _, tz = solve_truncated(system, leaves, include_unknowns=False)
     coeffs = {(2 * n - 1, k): c for (n, k), c in tz.nonzero_items()}

@@ -12,14 +12,12 @@ Three constructions are provided:
                       of a single binary pattern, with a mark variable per
                       occurrence.
 
-For enumeration_system two state spaces are supported.  The truncation form
-(reduced=False) indexes unknowns by all binary trees of bounded height; it
-is the transparent construction but its state count explodes with pattern
-height.  The reduced form tracks, per tree, which rooted subtrees of the
-pattern embed at its root; that set is the exact information needed to
-propagate occurrence marks, and its reachable-state count stays small for
-every pattern, which is what makes whole-sweep classification practical.
-Both forms solve to the same series and are cross-checked in the tests.
+enumeration_system's unknowns are the states of a bottom-up automaton that
+tracks, per tree, which rooted subtrees of the pattern embed at its root;
+that set is the exact information needed to propagate occurrence marks, and
+its reachable-state count stays small for every pattern, which is what
+makes whole-sweep classification practical.  The tests pin its series to
+brute-force occurrence counts.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ from .trees import (
     PatternSet,
     Tree,
     emit_polish,
-    height,
-    is_rooted_subtree,
     occurs_at_root,
     subtrees,
     truncate,
@@ -355,45 +351,8 @@ def _reduced_occurrence_system(pattern: Tree, marked: bool, leaf_weights: bool) 
     )
 
 
-def _truncation_occurrence_system(pattern: Tree, marked: bool, leaf_weights: bool,
-                                  max_states: int) -> AlgebraicSystem:
-    _require_binary_pattern(pattern)
-    d = height(pattern)
-    binary = Alphabet.binary()
-    try:
-        states = build_Ld(binary, PatternSet(binary, ()), max_size=max_states, height=d - 1)
-    except GrammarSizeError as exc:
-        raise SystemSizeError(
-            f"height-{d - 1} truncation states exceed {max_states}; "
-            "use the reduced construction for tall patterns"
-        ) from exc
-    index = {s: i for i, s in enumerate(states)}
-    weight_vars = (("z",) if leaf_weights else ("x",)) + (("y",) if marked else ())
-    nv = len(weight_vars)
-    base_wexp = (1,) + (0,) * (nv - 1)
-    join_plain = ((0,) if leaf_weights else (1,)) + (0,) * (nv - 1)
-    join_marked = ((0, 1) if leaf_weights else (1, 1)) if marked else None
-
-    equations: list[list[Monomial]] = [[] for _ in states]
-    equations[index[Tree("x")]].append(Monomial(1, base_wexp, ()))
-    for i, a in enumerate(states):
-        for j, b in enumerate(states):
-            w = Tree("m", (a, b))
-            occ = is_rooted_subtree(pattern, w)
-            if occ and not marked:
-                continue
-            t = index[truncate(w, d - 1)]
-            equations[t].append(Monomial(1, join_marked if occ else join_plain, (i, j)))
-    return AlgebraicSystem(
-        weight_vars=weight_vars,
-        unknowns=tuple(f"F[{emit_polish(s)}]" for s in states),
-        equations=tuple(tuple(eq) for eq in equations),
-        target=tuple((1, i) for i in range(len(states))),
-    )
-
-
 def enumeration_system(pattern: Tree, *, reduced: bool = True, marked: bool = True,
-                       leaf_weights: bool = False, max_states: int = 2000) -> AlgebraicSystem:
+                       leaf_weights: bool = False) -> AlgebraicSystem:
     """System whose target series counts binary trees by vertex number and by
     number of occurrences of the pattern (mark variable y).
 
@@ -402,12 +361,15 @@ def enumeration_system(pattern: Tree, *, reduced: bool = True, marked: bool = Tr
     switches the primary variable to count free ends instead of vertices
     (a tree with n vertices has (n+1)/2 free ends, so this is a pure
     reindexing for binary trees; it halves the truncation order the solver
-    needs).  reduced=False selects the bounded-height truncation state space
-    instead of the pattern-subtree automaton.
+    needs).
+
+    The unknowns are the occurrence-automaton states; this is the only
+    construction.  The keyword reduced remains so that callers passing
+    reduced=True keep working; reduced=False raises ValueError.
     """
-    if reduced:
-        return _reduced_occurrence_system(pattern, marked, leaf_weights)
-    return _truncation_occurrence_system(pattern, marked, leaf_weights, max_states)
+    if not reduced:
+        raise ValueError("only the reduced occurrence construction exists; drop reduced=False")
+    return _reduced_occurrence_system(pattern, marked, leaf_weights)
 
 
 def occurrence_state_count(pattern: Tree, marked: bool = True) -> int:

@@ -12,28 +12,16 @@ occurrence-marked sweep.
 import time
 from functools import lru_cache
 
-from treewilf.elim import (
-    COLLAPSE_MEMBER,
-    WITNESS_QUARTIC,
-    WITNESS_QUINTIC,
-    annihilates,
-    poly_divides,
-)
-from treewilf.grammar import (
-    build_grammar,
-    build_Ld,
-    count_derivations,
-    membership_class,
-    membership_class_setwise,
-)
-from treewilf.oracle import brute_histogram, enumerate_trees, trees_up_to_word_length
-from treewilf.series import av_series, en_series, en_slice_y0, solve_truncated, to_operad_series
+from treewilf import verify
+from treewilf.grammar import build_grammar
+from treewilf.oracle import internal_count_totals
+from treewilf.series import av_series, en_series, solve_truncated
 from treewilf.systems import cs_system, stamp_system
 from treewilf.trees import (
     Alphabet,
     PatternSet,
     Tree,
-    avoids,
+    catalan,
     emit_polish,
     enumerate_binary_patterns,
     parse_polish,
@@ -74,11 +62,9 @@ def test_02_eight_leaf_class_count():
 
 def test_03_divisibility_certificate():
     start = time.monotonic()
-    assert poly_divides(WITNESS_QUINTIC, WITNESS_QUARTIC)
-    series = av_series(parse_polish(COLLAPSE_MEMBER, BIN), 100)
-    assert annihilates(WITNESS_QUARTIC, series, 100)
-    assert annihilates(WITNESS_QUINTIC, series, 100)
+    result = verify.eq12_suite(100)
     elapsed = time.monotonic() - start
+    assert result.failures == []
     assert elapsed < 5
     ok("3 certificate", f"divisibility + shared annihilation at K=100 in {elapsed:.2f}s")
 
@@ -102,21 +88,11 @@ def test_05_enumeration_equivalence_cross_check():
 
 def test_06_oracle_equivalence():
     bound = 9
-    order = 2 * bound + 1
-    checked = 0
-    for leaves in range(2, 6):
-        for pattern in enumerate_binary_patterns(leaves):
-            hist = brute_histogram(BIN, pattern, bound)
-            en = en_series(pattern, order)
-            av = av_series(pattern, order)
-            for (n, k), c in hist.entries.items():
-                assert en.coefficient(n, k) == c, (emit_polish(pattern), n, k)
-            for (n, k), c in en.nonzero_items():
-                assert hist.entries.get((n, k), 0) == c, (emit_polish(pattern), n, k)
-            assert en_slice_y0(en) == av
-            checked += 1
-    assert checked == 22
-    ok("6 oracle equivalence", f"{checked} patterns vs all trees with <= {bound} internal nodes")
+    result = verify.oracle_suite(5, bound)
+    assert result.failures == []
+    assert result.counts["patterns"] == 22
+    assert result.counts["trees"] == sum(catalan(i) for i in range(bound + 1))
+    ok("6 oracle equivalence", f"22 patterns vs all trees with <= {bound} internal nodes")
 
 
 def _mixed_narrow_patterns() -> PatternSet:
@@ -143,14 +119,14 @@ def test_07_grammar_soundness():
     ]
     words = 0
     for alphabet, patterns in cases:
-        grammar = build_grammar(alphabet, patterns)
-        for tree in trees_up_to_word_length(alphabet, 15):
-            word = emit_polish(tree)
-            expected = 1 if avoids(tree, patterns.patterns) else 0
-            assert count_derivations(grammar, word) == expected, word
-            words += 1
-        for word in ("", "m", "w", "xx", "mxxx", "wxx"):
-            assert count_derivations(grammar, word) == 0
+        result = verify.grammar_suite(alphabet, patterns, 15)
+        assert result.failures == []
+        assert result.counts["malformed"] == len(verify.MALFORMED_WORDS)
+        assert result.counts["words"] >= result.counts["avoiders"] > 0
+        if alphabet is BIN:
+            # binary trees with at most 15 vertices: at most 7 internal nodes
+            assert result.counts["words"] == sum(catalan(i) for i in range(8))
+        words += result.counts["words"]
     ok("7 grammar soundness", f"derivation counts 0/1 correct on {words} words up to length 15")
 
 
@@ -161,38 +137,19 @@ def test_08_partition_lemma():
         (MIXED, _mixed_narrow_patterns(), 4),
     ]
     for alphabet, patterns, bound in cases:
-        Ld = build_Ld(alphabet, patterns)
-        hits = {v: 0 for v in Ld}
-        for tree in enumerate_trees(alphabet, bound):
-            by_truncation = membership_class(tree, patterns)
-            by_definition = membership_class_setwise(tree, patterns, Ld)
-            assert by_truncation == by_definition
-            if avoids(tree, patterns.patterns):
-                assert by_truncation is not None and by_truncation in hits
-                hits[by_truncation] += 1
-            else:
-                assert by_truncation is None
-        assert all(c >= 1 for c in hits.values())
+        result = verify.partition_suite(alphabet, patterns, bound)
+        assert result.failures == []
+        assert result.counts["trees"] == sum(internal_count_totals(alphabet, bound))
+        assert result.counts["blocks_hit"] == result.counts["blocks"]
     ok("8 partition lemma", "truncation classes = set-theoretic blocks, total on avoiders")
 
 
 def test_09_system_equivalence():
-    from treewilf.oracle import count_avoiders_by_leaves
-
-    checked = 0
-    for leaves in range(2, 6):
-        for pattern in enumerate_binary_patterns(leaves):
-            ps = PatternSet(BIN, (pattern,))
-            _, stamp_target = solve_truncated(stamp_system(BIN, ps), 40)
-            _, cs_target = solve_truncated(cs_system(build_grammar(BIN, ps)), 81)
-            assert to_operad_series(cs_target).restrict(40) == stamp_target, emit_polish(pattern)
-            by_leaves = count_avoiders_by_leaves(BIN, ps, 9)
-            for n in range(1, 11):
-                assert stamp_target.coefficient(n) == by_leaves.get(n, 0)
-            checked += 1
-    assert checked == 22
+    result = verify.systems_suite(5)
+    assert result.failures == []
+    assert result.counts["patterns"] == 22
     ok("9 system equivalence",
-       f"stamp vs grammar systems agree to order 40 on {checked} patterns, both match the oracle")
+       "stamp vs grammar systems agree to order 40 on 22 patterns, both match the oracle")
 
 
 def test_10_nonnegative_integer_coefficients():

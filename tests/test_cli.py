@@ -57,6 +57,11 @@ class TestGrammarCommand:
         assert code == 0
         assert "T[mxmxx]" in out
 
+    def test_missing_patterns_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "grammar", "--patterns-file", str(tmp_path / "absent.txt"))
+        assert code == 1
+        assert err.startswith("error: ") and "absent.txt" in err
+
 
 class TestSystemCommand:
     def test_cs(self, capsys):
@@ -93,6 +98,12 @@ class TestEliminateCommand:
 
     def test_bound_exceeded(self, capsys):
         code, _, err = run(capsys, "eliminate", "--patterns", "mmmmxxxxx", "--max-unknowns", "12")
+        assert code == 3
+        assert "resource bound exceeded" in err
+
+    def test_grammar_over_budget(self, capsys):
+        code, _, err = run(capsys, "eliminate", "--patterns", "mmmmmmxxxxxxx",
+                           "--max-nonterminals", "10")
         assert code == 3
         assert "resource bound exceeded" in err
 
@@ -146,6 +157,30 @@ class TestVerifyCommand:
     def test_systems_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "systems", "--max-leaves", "4")
         assert code == 0
+
+    @pytest.mark.parametrize("suite, bound", [("grammar", "--max-len=9"),
+                                              ("partition", "--max-nodes=3")])
+    def test_alphabet_option(self, capsys, suite, bound):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--alphabet", "m:2,w:3,x:0",
+                           "--patterns", "wxxx", bound)
+        assert code == 0
+        assert out.startswith(f"{suite} suite: pass")
+
+    @pytest.mark.parametrize("suite", ["oracle", "mirror", "systems"])
+    def test_max_leaves_below_two(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-leaves", "1")
+        assert code == 1
+        assert out == "" and "at least 2 leaves" in err
+
+    def test_all_suites_report_counts(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "oracle", "grammar", "partition", "mirror", "eq12", "systems"]
+        for line in lines:
+            counts = line[line.index("(") + 1:line.rindex(")")].split(", ")
+            assert counts and all(int(c.split("=")[1]) > 0 for c in counts), line
 
 
 class TestUsageErrors:

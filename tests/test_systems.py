@@ -1,14 +1,18 @@
 import pytest
 
 from treewilf.grammar import build_grammar
-from treewilf.oracle import count_avoiders, count_avoiders_by_leaves, enumerate_trees
+from treewilf.oracle import (
+    brute_histogram,
+    count_avoiders,
+    count_avoiders_by_leaves,
+    enumerate_trees,
+)
 from treewilf.series import solve_truncated, to_operad_series
 from treewilf.systems import (
     AlgebraicSystem,
     ImproperSystemError,
     Monomial,
     OccurrenceAutomaton,
-    SystemSizeError,
     cs_system,
     enumeration_system,
     occurrence_state_count,
@@ -185,25 +189,19 @@ class TestEnumerationSystem:
                 assert target.coefficient(n, 0) == expected.get(n, 0)
 
     @pytest.mark.parametrize("leaves", [2, 3, 4, 5])
-    def test_reduced_equals_truncation_states(self, leaves):
+    def test_marked_system_matches_oracle(self, leaves):
         for pattern in enumerate_binary_patterns(leaves):
-            reduced = enumeration_system(pattern, reduced=True)
-            literal = enumeration_system(pattern, reduced=False)
-            _, rt = solve_truncated(reduced, 13)
-            _, lt = solve_truncated(literal, 13)
-            assert rt == lt
+            _, target = solve_truncated(enumeration_system(pattern), 13)
+            hist = brute_histogram(BIN, pattern, 6)
+            for (n, k), c in hist.entries.items():
+                assert target.coefficient(n, k) == c
+            for (n, k), c in target.nonzero_items():
+                assert hist.count(n, k) == c
 
-    def test_truncation_state_space_matches_bounded_height(self):
-        pattern = parse_polish("mmxxmxx", BIN)  # height 2
-        literal = enumeration_system(pattern, reduced=False)
-        # states: all binary trees of height <= 1
-        assert literal.unknowns == ("F[mxx]", "F[x]")
-
-    def test_truncation_states_budget(self):
+    def test_only_reduced_construction(self):
         comb7 = parse_polish("m" * 6 + "x" * 7, BIN)  # height 6
-        with pytest.raises(SystemSizeError):
+        with pytest.raises(ValueError):
             enumeration_system(comb7, reduced=False)
-        # the reduced construction handles the same pattern easily
         assert occurrence_state_count(comb7) <= 16
 
     def test_root_occurrence_depends_only_on_truncations(self):
