@@ -252,8 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run oracle-backed verification suites")
     p.add_argument("--suite", default="all",
                    choices=("all", "oracle", "grammar", "partition", "mirror", "eq12", "systems"))
-    p.add_argument("--max-leaves", type=int, default=4)
-    p.add_argument("--max-nodes", type=int, default=7)
+    p.add_argument("--max-leaves", type=int, default=4,
+                   help="largest pattern of the oracle, mirror and systems suites; "
+                        "the systems suite stops at 5 leaves")
+    p.add_argument("--max-nodes", type=int, default=7,
+                   help="largest tree (internal nodes) of the oracle and partition suites; "
+                        "the mirror suite stops at 5 nodes")
     p.add_argument("--max-len", type=int, default=15)
     p.add_argument("--patterns", "--pattern", default="")
     p.add_argument("--patterns-file", default=None)

@@ -1,14 +1,27 @@
 """Exact polynomial algebra: variable elimination by iterated resultants,
 divisibility over Q[x], and annihilation tests against truncated series.
 
-Every polynomial is one representation, MPoly: a sparse dict from exponent
-tuples to integer coefficients.  BivarPoly is an immutable view of an MPoly
-in (G, x), and a content in Z[x] is an MPoly over (x,).  All arithmetic is
-over the integers: divisions inside the subresultant remainder sequence and
-by a content are exact by construction and checked.  The resultant of two
-polynomials lies in the ideal they generate, so every polynomial produced by
-eliminate vanishes on any common solution of the system; the annihilation
-test makes that checkable against solved series.
+Every polynomial is one representation, MPoly: a sparse dict from packed
+exponent keys to integer coefficients, and PackedRing holds the one
+implementation of its arithmetic.  A key holds one FIELD-bit field per
+variable, variable 0 in the most significant field, so integer order on keys
+is lexicographic order on exponent vectors (max() is the leading term) and a
+monomial product is one integer addition.  The top bit of each field is a
+guard: exponents stay below 2^(FIELD-1), and an exponent that would reach it,
+on packing or in a product, raises EliminationBoundError instead of carrying
+into the next field.  Exact division tests that every field of a quotient
+monomial is nonnegative with one guard-bit subtraction.
+
+Exponent tuples appear only at the boundary: system_polynomials,
+BivarPoly.terms and the tuple-keyed entry points mp_resultant and mp_degree;
+eliminate packs once on entry and unpacks its result once.  BivarPoly is an
+immutable polynomial in (G, x), and a content in Z[x] packs to keys equal to
+its x-exponents.  All arithmetic is over the integers: divisions inside the
+subresultant remainder sequence and by a content are exact by construction
+and checked.  The resultant of two polynomials lies in the ideal they
+generate, so every polynomial produced by eliminate vanishes on any common
+solution of the system; the annihilation test makes that checkable against
+solved series.
 """
 
 from __future__ import annotations
@@ -16,13 +29,21 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import or_
 
 from .series import TruncatedSeries
 from .systems import AlgebraicSystem
 
 Exps = tuple[int, ...]
-MPoly = dict[Exps, int]
+# {packed exponent key: coeff}.  A key is sum(e_i << FIELD*(nvars-1-i)):
+# FIELD bits per variable, variable 0 highest; bit FIELD-1 of each field is
+# a guard bit that no exponent may reach, so exponents lie in [0, 2^(FIELD-1)).
+MPoly = dict[int, int]
+
+FIELD = 32
+FIELD_MASK = (1 << FIELD) - 1
 
 
 class EliminationError(RuntimeError):
@@ -30,188 +51,266 @@ class EliminationError(RuntimeError):
 
 
 class EliminationBoundError(EliminationError):
-    """Unknown-count or time budget exceeded."""
+    """Unknown-count, time or exponent budget exceeded."""
 
 
-# -- multivariate integer polynomials as {exponent tuple: coeff} ------------------
+# -- multivariate integer polynomials on packed keys ----------------------------------
 
 
-def mp_add(p: MPoly, q: MPoly) -> MPoly:
-    out = dict(p)
-    for e, c in q.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
+class PackedRing:
+    """Z[v_0..v_{nvars-1}] on packed keys: one implementation of each
+    operation the elimination needs.  No method mutates its arguments except
+    addmul's out.
+
+    A ring made with a deadline (a time.monotonic() value) raises
+    EliminationBoundError once it has passed, checking before every row of a
+    product and every quotient term of an exact division, so no single
+    operation runs far past it.
+    """
+
+    __slots__ = ("nvars", "guard", "deadline")
+
+    def __init__(self, nvars: int, deadline: float | None = None):
+        self.nvars = nvars
+        # the top bit of every field
+        self.guard = sum(1 << (FIELD * i + FIELD - 1) for i in range(nvars))
+        self.deadline = deadline
+
+    def shift(self, var: int) -> int:
+        """Bit offset of variable var's field; variable 0 is the top field."""
+        return FIELD * (self.nvars - 1 - var)
+
+    def pack(self, p: dict[Exps, int]) -> MPoly:
+        out: MPoly = {}
+        for exps, c in p.items():
+            key = 0
+            for e in exps:
+                if e >> (FIELD - 1):
+                    raise EliminationBoundError(
+                        f"exponent {e} is outside the packed range [0, 2^{FIELD - 1})")
+                key = (key << FIELD) | e
+            out[key] = c
+        return out
+
+    def unpack(self, p: MPoly) -> dict[Exps, int]:
+        shifts = [self.shift(v) for v in range(self.nvars)]
+        return {tuple((k >> s) & FIELD_MASK for s in shifts): c for k, c in p.items()}
+
+    def check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise EliminationBoundError("elimination deadline exceeded")
+
+    def addmul(self, out: MPoly, p: MPoly, q: MPoly) -> MPoly:
+        """out += p * q in place, returning out; raises EliminationBoundError
+        when an exponent of the result reaches the guard bit of its field."""
+        get = out.get
+        q_items = list(q.items())
+        timed = self.deadline is not None
+        for k1, c1 in p.items():
+            if timed:
+                self.check_deadline()
+            for k2, c2 in q_items:
+                k = k1 + k2
+                s = get(k, 0) + c1 * c2
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        if reduce(or_, out, 0) & self.guard:
+            raise EliminationBoundError(f"an exponent reached 2^{FIELD - 1} in a product")
+        return out
+
+    def mul(self, p: MPoly, q: MPoly) -> MPoly:
+        return self.addmul({}, p, q)
+
+    def pow(self, p: MPoly, n: int) -> MPoly:
+        if n == 0:
+            if not p:
+                raise ValueError("0^0 is undefined here")
+            return {0: 1}
+        result = None
+        base = p
+        while n:
+            if n & 1:
+                result = base if result is None else self.mul(result, base)
+            n >>= 1
+            if n:
+                base = self.mul(base, base)
+        return result
+
+    def degree(self, p: MPoly, var: int) -> int:
+        """Degree in var; -1 for the zero polynomial."""
+        shift = self.shift(var)
+        return max(((k >> shift) & FIELD_MASK for k in p), default=-1)
+
+    def coeff_of(self, p: MPoly, var: int, deg: int) -> MPoly:
+        """Coefficient of var^deg, as a polynomial with that exponent zeroed."""
+        shift = self.shift(var)
+        field, top = FIELD_MASK << shift, deg << shift
+        return {k - top: c for k, c in p.items() if k & field == top}
+
+    def divexact(self, p: MPoly, q: MPoly) -> MPoly:
+        """Exact division; raises if q does not divide p.  Uses lexicographic
+        leading-term elimination, which terminates because the leading key of
+        the remainder strictly decreases.  A heap of negated keys yields the
+        leading key; entries whose term has cancelled are skipped."""
+        if not q:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if not p:
+            return {}
+        guard = self.guard
+        timed = self.deadline is not None
+        qlead = max(q)
+        qc = q[qlead]
+        q_rest = [(k, c) for k, c in q.items() if k != qlead]
+        rem = dict(p)
+        heap = [-k for k in rem]
+        heapify(heap)
+        quo: MPoly = {}
+        while heap:
+            rlead = -heappop(heap)
+            rc = rem.pop(rlead, 0)
+            if not rc:
+                continue
+            # every field of rlead - qlead is nonnegative iff no guard bit is borrowed
+            if ((rlead | guard) - qlead) & guard != guard or rc % qc != 0:
+                raise ArithmeticError("inexact polynomial division")
+            if timed:
+                self.check_deadline()
+            e = rlead - qlead
+            c = rc // qc
+            quo[e] = c
+            for qk, qv in q_rest:
+                k = e + qk
+                old = rem.get(k, 0)
+                s = old - c * qv
+                if s:
+                    rem[k] = s
+                    if not old:
+                        heappush(heap, -k)
+                else:
+                    del rem[k]
+        return quo
+
+    def prem(self, p: MPoly, q: MPoly, var: int) -> MPoly:
+        """Pseudo-remainder of p by q with respect to var: lc(q)^(dp-dq+1) p mod q."""
+        dq = self.degree(q, var)
+        if dq < 0:
+            raise ZeroDivisionError("pseudo-division by zero")
+        shift = self.shift(var)
+        field, qtop = FIELD_MASK << shift, dq << shift
+        lcq = self.coeff_of(q, var, dq)
+        q_low = {k: c for k, c in q.items() if k & field != qtop}
+        rem = p
+        steps = max(self.degree(rem, var) - dq + 1, 0)
+        done = 0
+        while True:
+            dr = self.degree(rem, var)
+            if dr < dq:
+                break
+            # lcq * rem - lcr * var^(dr-dq) * q, leaving out the var^dr terms, which cancel
+            rtop = dr << shift
+            low: MPoly = {}
+            shifted_lcr: MPoly = {}
+            for k, c in rem.items():
+                if k & field == rtop:
+                    shifted_lcr[k - qtop] = -c
+                else:
+                    low[k] = c
+            rem = self.addmul(self.mul(lcq, low), shifted_lcr, q_low)
+            done += 1
+        # normalize to the standard prem: multiply by lcq^(steps - done)
+        for _ in range(steps - done):
+            rem = self.mul(lcq, rem)
+        return rem
+
+    def resultant(self, p: MPoly, q: MPoly, var: int) -> MPoly:
+        """Resultant of p and q with respect to var, by the subresultant
+        polynomial remainder sequence (exact integer divisions throughout)."""
+        dp, dq = self.degree(p, var), self.degree(q, var)
+        if dp < 0 or dq < 0:
+            return {}
+        if dp == 0 and dq == 0:
+            raise ValueError("resultant needs positive degree in the eliminated variable")
+        sign = 1
+        if dp < dq:
+            p, q, dp, dq = q, p, dq, dp
+            if (dp & 1) and (dq & 1):
+                sign = -sign
+        if dq == 0:
+            return pk_scale(self.pow(q, dp), sign)
+        g, h = {0: 1}, {0: 1}
+        while True:
+            delta = dp - dq
+            if (dp & 1) and (dq & 1):
+                sign = -sign
+            rem = self.prem(p, q, var)
+            if not rem:
+                return {}
+            divisor = self.mul(g, self.pow(h, delta))
+            p, q = q, self.divexact(rem, divisor)
+            dp = dq
+            dq = self.degree(q, var)
+            g = self.coeff_of(p, var, dp)
+            if delta >= 1:
+                h = self.divexact(self.pow(g, delta), self.pow(h, delta - 1))
+            if dq == 0:
+                # res = h^(1-dp) * q^dp up to the accumulated sign
+                num = self.pow(q, dp)
+                if dp >= 1:
+                    num = self.divexact(num, self.pow(h, dp - 1))
+                return pk_scale(num, sign)
 
 
-def mp_neg(p: MPoly) -> MPoly:
-    return {e: -c for e, c in p.items()}
-
-def mp_scale(p: MPoly, c: int) -> MPoly:
+def pk_scale(p: MPoly, c: int) -> MPoly:
     if c == 0:
         return {}
-    return {e: c * v for e, v in p.items()}
+    return {k: c * v for k, v in p.items()}
 
 
-def mp_mul(p: MPoly, q: MPoly) -> MPoly:
-    out: MPoly = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def mp_pow(p: MPoly, n: int) -> MPoly:
-    if n == 0:
-        if not p:
-            raise ValueError("0^0 is undefined here")
-        return {(0,) * len(next(iter(p))): 1}
-    result = None
-    base = p
-    while n:
-        if n & 1:
-            result = base if result is None else mp_mul(result, base)
-        n >>= 1
-        if n:
-            base = mp_mul(base, base)
-    return result
-
-
-def mp_degree(p: MPoly, var: int) -> int:
-    return max((e[var] for e in p), default=-1)
-
-
-def mp_coeff_of(p: MPoly, var: int, deg: int) -> MPoly:
-    """Coefficient of var^deg, as a polynomial with that exponent zeroed."""
-    out: MPoly = {}
-    for e, c in p.items():
-        if e[var] == deg:
-            out[e[:var] + (0,) + e[var + 1:]] = c
-    return out
-
-
-def mp_divexact(p: MPoly, q: MPoly) -> MPoly:
-    """Exact division; raises if q does not divide p.  Uses lexicographic
-    leading-term elimination, which terminates because exponents shrink."""
-    if not q:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not p:
-        return {}
-    qlead = max(q)
-    qc = q[qlead]
-    rem = dict(p)
-    quo: MPoly = {}
-    while rem:
-        rlead = max(rem)
-        rc = rem[rlead]
-        e = tuple(a - b for a, b in zip(rlead, qlead))
-        if any(v < 0 for v in e) or rc % qc != 0:
-            raise ArithmeticError("inexact polynomial division")
-        c = rc // qc
-        quo[e] = quo.get(e, 0) + c
-        for qe, qv in q.items():
-            te = tuple(a + b for a, b in zip(e, qe))
-            s = rem.get(te, 0) - c * qv
-            if s:
-                rem[te] = s
-            else:
-                rem.pop(te, None)
-    return quo
-
-
-def mp_prem(p: MPoly, q: MPoly, var: int) -> MPoly:
-    """Pseudo-remainder of p by q with respect to var: lc(q)^(dp-dq+1) p mod q."""
-    dq = mp_degree(q, var)
-    if dq < 0:
-        raise ZeroDivisionError("pseudo-division by zero")
-    lcq = mp_coeff_of(q, var, dq)
-    rem = dict(p)
-    dp = mp_degree(rem, var)
-    steps = max(dp - dq + 1, 0)
-    done = 0
-    nvars = len(next(iter(q)))
-    while True:
-        dr = mp_degree(rem, var)
-        if dr < dq or not rem:
-            break
-        lcr = mp_coeff_of(rem, var, dr)
-        shift = {tuple(dr - dq if i == var else 0 for i in range(nvars)): 1}
-        rem = mp_add(mp_mul(lcq, rem), mp_neg(mp_mul(mp_mul(lcr, shift), q)))
-        done += 1
-    # normalize to the standard prem: multiply by lcq^(steps - done)
-    for _ in range(steps - done):
-        rem = mp_mul(lcq, rem)
-    return rem
-
-
-def mp_resultant(p: MPoly, q: MPoly, var: int) -> MPoly:
-    """Resultant of p and q with respect to var, by the subresultant
-    polynomial remainder sequence (exact integer divisions throughout)."""
-    dp, dq = mp_degree(p, var), mp_degree(q, var)
-    if dp < 0 or dq < 0:
-        return {}
-    if dp == 0 and dq == 0:
-        raise ValueError("resultant needs positive degree in the eliminated variable")
-    sign = 1
-    if dp < dq:
-        p, q, dp, dq = q, p, dq, dp
-        if (dp & 1) and (dq & 1):
-            sign = -sign
-    if dq == 0:
-        return mp_scale(mp_pow(q, dp), sign)
-    nvars = len(next(iter(p)))
-    one: MPoly = {(0,) * nvars: 1}
-    g, h = one, one
-    while True:
-        delta = dp - dq
-        if (dp & 1) and (dq & 1):
-            sign = -sign
-        rem = mp_prem(p, q, var)
-        if not rem:
-            return {}
-        divisor = mp_mul(g, mp_pow(h, delta))
-        p, q = q, mp_divexact(rem, divisor)
-        dp = dq
-        dq = mp_degree(q, var)
-        g = mp_coeff_of(p, var, dp)
-        if delta >= 1:
-            h = mp_divexact(mp_pow(g, delta), mp_pow(h, delta - 1))
-        if dq == 0:
-            # res = h^(1-dp) * q^dp up to the accumulated sign
-            num = mp_pow(q, dp)
-            if dp >= 1:
-                num = mp_divexact(num, mp_pow(h, dp - 1))
-            return mp_scale(num, sign)
-
-
-def mp_primitive(p: MPoly) -> MPoly:
+def pk_primitive(p: MPoly) -> MPoly:
     """p divided by the gcd of its coefficients, signed so that the
     coefficient of the lexicographically largest exponent is positive."""
     c = gcd(*p.values())
     if p[max(p)] < 0:
         c = -c
-    return {e: v // c for e, v in p.items()}
+    return {k: v // c for k, v in p.items()}
 
 
-def mp_univariate_gcd(p: MPoly, q: MPoly) -> MPoly:
-    """Gcd in Z[x] of two polynomials over (x,), not both zero, by the
+X_RING = PackedRing(1)   # Z[x]: a key is the x-exponent
+GX_RING = PackedRing(2)  # Z[G, x]: BivarPoly, G in the top field
+
+
+def univariate_gcd(p: MPoly, q: MPoly) -> MPoly:
+    """Gcd in Z[x] of two polynomials of X_RING, not both zero, by the
     primitive polynomial remainder sequence, with positive leading coefficient."""
     c = gcd(*p.values(), *q.values())
-    if mp_degree(p, 0) < mp_degree(q, 0):
+    if X_RING.degree(p, 0) < X_RING.degree(q, 0):
         p, q = q, p
-    p = mp_primitive(p)
+    p = pk_primitive(p)
     while q:
-        q = mp_primitive(q)
-        p, q = q, mp_prem(p, q, 0)
-    return mp_scale(p, c)
+        q = pk_primitive(q)
+        p, q = q, X_RING.prem(p, q, 0)
+    return pk_scale(p, c)
+
+
+# -- tuple-keyed entry points ---------------------------------------------------------
+
+
+def mp_degree(p: dict[Exps, int], var: int) -> int:
+    """Degree in var of a polynomial keyed by exponent tuples; -1 for zero."""
+    if not p:
+        return -1
+    ring = PackedRing(len(next(iter(p))))
+    return ring.degree(ring.pack(p), var)
+
+
+def mp_resultant(p: dict[Exps, int], q: dict[Exps, int], var: int) -> dict[Exps, int]:
+    """Resultant with respect to var of two polynomials keyed by exponent tuples."""
+    if not p or not q:
+        return {}
+    ring = PackedRing(len(next(iter(p))))
+    return ring.unpack(ring.resultant(ring.pack(p), ring.pack(q), var))
 
 
 # -- bivariate polynomials in (G, x) ----------------------------------------------
@@ -221,9 +320,9 @@ def mp_univariate_gcd(p: MPoly, q: MPoly) -> MPoly:
 class BivarPoly:
     """Polynomial in the series unknown G with integer polynomial coefficients in x.
 
-    terms is the MPoly in (G, x), (g_degree, x_degree) -> coefficient, frozen
-    as a sorted tuple; as_dict() returns it for the mp_* operations.  Content
-    (the common Z[x] factor of the G-coefficients) is never stripped
+    terms maps (g_degree, x_degree) -> coefficient, frozen as a sorted tuple;
+    as_dict() returns it as a dict, and packed() as an MPoly of GX_RING.
+    Content (the common Z[x] factor of the G-coefficients) is never stripped
     implicitly; use content_and_primitive explicitly.
     """
 
@@ -232,6 +331,10 @@ class BivarPoly:
     @classmethod
     def from_dict(cls, d: dict[tuple[int, int], int]) -> "BivarPoly":
         return cls(tuple(sorted((k, v) for k, v in d.items() if v)))
+
+    @classmethod
+    def from_packed(cls, p: MPoly) -> "BivarPoly":
+        return cls.from_dict(GX_RING.unpack(p))
 
     @classmethod
     def from_g_coefficients(cls, coeffs: dict[int, dict[int, int]]) -> "BivarPoly":
@@ -243,6 +346,9 @@ class BivarPoly:
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.terms)
 
+    def packed(self) -> MPoly:
+        return GX_RING.pack(self.as_dict())
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -253,20 +359,14 @@ class BivarPoly:
     def g_coefficient(self, g: int) -> dict[int, int]:
         return {xd: c for (gg, xd), c in self.terms if gg == g}
 
-    def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        return BivarPoly.from_dict(mp_add(self.as_dict(), other.as_dict()))
-
-    def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        return BivarPoly.from_dict(mp_add(self.as_dict(), mp_neg(other.as_dict())))
-
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        return BivarPoly.from_dict(mp_mul(self.as_dict(), other.as_dict()))
+        return BivarPoly.from_packed(GX_RING.mul(self.packed(), other.packed()))
 
     def scale(self, c: int) -> "BivarPoly":
-        return BivarPoly.from_dict(mp_scale(self.as_dict(), c))
+        return BivarPoly.from_packed(pk_scale(self.packed(), c))
 
-    def content_and_primitive(self) -> tuple[MPoly, "BivarPoly"]:
-        """The Z[x] content, as an MPoly over (x,) with positive leading
+    def content_and_primitive(self) -> tuple[dict[Exps, int], "BivarPoly"]:
+        """The Z[x] content, keyed by (x_degree,) with positive leading
         coefficient, and the matching primitive part.
 
         The content is the gcd of the G-coefficients; by Gauss's lemma it
@@ -274,12 +374,14 @@ class BivarPoly:
         """
         if self.is_zero():
             return {}, self
+        packed = self.packed()
         coeffs: dict[int, MPoly] = {}
-        for (g, xd), c in self.terms:
-            coeffs.setdefault(g, {})[(xd,)] = c
-        content = reduce(mp_univariate_gcd, coeffs.values(), {})
-        lifted = {(0, xd): c for (xd,), c in content.items()}
-        return content, BivarPoly.from_dict(mp_divexact(self.as_dict(), lifted))
+        for k, c in packed.items():
+            coeffs.setdefault(k >> FIELD, {})[k & FIELD_MASK] = c
+        content = reduce(univariate_gcd, coeffs.values(), {})
+        # lifted to (G, x) with G-exponent 0, the content keeps its keys
+        prim = BivarPoly.from_packed(GX_RING.divexact(packed, content))
+        return X_RING.unpack(content), prim
 
     def canonical_text(self) -> str:
         """Stable text form: terms sorted by G-degree then x-degree."""
@@ -327,9 +429,9 @@ def poly_divides(p: BivarPoly, q: BivarPoly) -> bool:
         return False
     cont_p, prim_p = p.content_and_primitive()
     cont_q, prim_q = q.content_and_primitive()
-    if mp_prem(cont_p, cont_q, 0):
+    if X_RING.prem(X_RING.pack(cont_p), X_RING.pack(cont_q), 0):
         return False
-    return not mp_prem(prim_p.as_dict(), prim_q.as_dict(), 0)
+    return not GX_RING.prem(prim_p.packed(), prim_q.packed(), 0)
 
 
 def annihilates(p: BivarPoly, series: TruncatedSeries, order: int) -> bool:
@@ -353,31 +455,35 @@ def annihilates(p: BivarPoly, series: TruncatedSeries, order: int) -> bool:
     return acc.is_zero()
 
 
-def system_polynomials(system: AlgebraicSystem) -> tuple[list[MPoly], int]:
+
+def system_polynomials(system: AlgebraicSystem) -> tuple[list[dict[Exps, int]], int]:
     """Defining polynomials unknown_i - rhs_i over variables (x, y_0..y_{N-1}, G),
-    plus the target-combination polynomial G - sum(target).  Returns (polys, nvars)."""
+    plus the target-combination polynomial G - sum(target), keyed by exponent
+    tuples.  Returns (polys, nvars)."""
     if len(system.weight_vars) != 1:
         raise EliminationError("elimination supports one weight variable")
     n = system.n_unknowns
     nvars = 1 + n + 1
 
-    def mono(m) -> MPoly:
-        e = [0] * nvars
-        e[0] = m.wexp[0]
-        for f in m.factors:
-            e[1 + f] += 1
-        return {tuple(e): m.coeff}
+    def unit(j: int) -> Exps:
+        return tuple(1 if i == j else 0 for i in range(nvars))
 
-    polys: list[MPoly] = []
+    polys: list[dict[Exps, int]] = []
     for i, eq in enumerate(system.equations):
-        p: MPoly = {tuple(1 if j == 1 + i else 0 for j in range(nvars)): 1}
+        p = {unit(1 + i): 1}
         for m in eq:
-            p = mp_add(p, mp_neg(mono(m)))
-        polys.append(p)
-    gpoly: MPoly = {tuple(1 if j == nvars - 1 else 0 for j in range(nvars)): 1}
+            exps = [0] * nvars
+            exps[0] = m.wexp[0]
+            for f in m.factors:
+                exps[1 + f] += 1
+            e = tuple(exps)
+            p[e] = p.get(e, 0) - m.coeff
+        polys.append({e: c for e, c in p.items() if c})
+    gpoly = {unit(nvars - 1): 1}
     for coeff, ui in system.target:
-        gpoly = mp_add(gpoly, {tuple(1 if j == 1 + ui else 0 for j in range(nvars)): -coeff})
-    polys.append(gpoly)
+        e = unit(1 + ui)
+        gpoly[e] = gpoly.get(e, 0) - coeff
+    polys.append({e: c for e, c in gpoly.items() if c})
     return polys, nvars
 
 
@@ -392,6 +498,8 @@ def eliminate(system: AlgebraicSystem, max_unknowns: int = 12,
     The default elimination order is sparsest-first: unknowns appearing in
     the fewest monomials go first, re-evaluated greedily after each step.
     elimination_order (a permutation of the unknown indices) overrides it.
+    deadline_seconds bounds the wall time: past it, EliminationBoundError is
+    raised within one row of a product or one quotient term of a division.
     """
     if system.n_unknowns > max_unknowns:
         raise EliminationBoundError(
@@ -400,32 +508,35 @@ def eliminate(system: AlgebraicSystem, max_unknowns: int = 12,
         )
     if elimination_order is not None and sorted(elimination_order) != list(range(system.n_unknowns)):
         raise ValueError("elimination_order must be a permutation of the unknown indices")
-    start = time.monotonic()
-    polys, nvars = system_polynomials(system)
+    deadline = None if deadline_seconds is None else time.monotonic() + deadline_seconds
+    tuple_polys, nvars = system_polynomials(system)
+    ring = PackedRing(nvars, deadline)
+    polys = [ring.pack(p) for p in tuple_polys]
     remaining = list(range(1, 1 + system.n_unknowns))
     forced = [1 + u for u in elimination_order] if elimination_order is not None else None
 
     while remaining:
-        if deadline_seconds is not None and time.monotonic() - start > deadline_seconds:
-            raise EliminationBoundError("elimination deadline exceeded")
+        ring.check_deadline()
         if forced:
             var = forced.pop(0)
         else:
-            occurrence = {
-                v: sum(1 for p in polys for e in p if e[v] > 0) for v in remaining
-            }
+            occurrence = {}
+            for v in remaining:
+                field = FIELD_MASK << ring.shift(v)
+                occurrence[v] = sum(1 for p in polys for k in p if k & field)
             var = min(remaining, key=lambda v: (occurrence[v], v))
-        holding = [p for p in polys if mp_degree(p, var) > 0]
-        passing = [p for p in polys if mp_degree(p, var) <= 0]
+        degrees = [ring.degree(p, var) for p in polys]
+        holding = [(d, p) for d, p in zip(degrees, polys) if d > 0]
+        passing = [p for d, p in zip(degrees, polys) if d <= 0]
         if not holding:
             remaining.remove(var)
             continue
-        pivot = min(holding, key=lambda p: (mp_degree(p, var), len(p)))
+        pivot = min(holding, key=lambda dp: (dp[0], len(dp[1])))[1]
         new_polys: list[MPoly] = []
-        for p in holding:
+        for _, p in holding:
             if p is pivot:
                 continue
-            res = mp_resultant(pivot, p, var)
+            res = ring.resultant(pivot, p, var)
             if not res:
                 raise EliminationError(
                     f"resultant vanished while eliminating unknown {var - 1}; "
@@ -435,14 +546,16 @@ def eliminate(system: AlgebraicSystem, max_unknowns: int = 12,
         polys = passing + new_polys
         remaining.remove(var)
 
+    # the survivors lie in Z[x, G]: x is the top field and G the bottom one
+    unknown_fields = ((1 << FIELD * (nvars - 2)) - 1) << FIELD
+    x_shift = ring.shift(0)
     candidates = []
     for p in polys:
         if not p:
             continue
-        if any(any(e[1:-1]) for e in p):
+        if any(k & unknown_fields for k in p):
             raise EliminationError("an unknown survived elimination; this is a bug")
-        d = {(e[-1], e[0]): c for e, c in p.items()}
-        bp = BivarPoly.from_dict(d)
+        bp = BivarPoly.from_dict({(k & FIELD_MASK, k >> x_shift): c for k, c in p.items()})
         if not bp.is_zero() and bp.g_degree >= 1:
             candidates.append(bp)
     if not candidates:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +11,7 @@ from treewilf.elim import (
     BivarPoly,
     EliminationBoundError,
     EliminationError,
+    PackedRing,
     WITNESS_QUARTIC,
     WITNESS_QUINTIC,
     annihilates,
@@ -61,6 +63,33 @@ class TestResultant:
         assert mp_resultant(a, b, 1) == {(2, 0): 1, (1, 0): -1}
 
 
+class TestPackedKeys:
+    def test_exponent_too_large_to_pack(self):
+        with pytest.raises(EliminationBoundError):
+            PackedRing(2).pack({(2**31, 0): 1})
+
+    def test_product_overflowing_a_field(self):
+        ring = PackedRing(2)
+        for var in (0, 1):
+            mono = ring.pack({tuple(2**30 if v == var else 0 for v in range(2)): 1})
+            with pytest.raises(EliminationBoundError):
+                ring.mul(mono, mono)
+
+    def test_inexact_division_by_a_lower_field(self):
+        # the leading exponent of the divisor exceeds the dividend's in a field
+        # below the top one, where a plain key subtraction borrows silently
+        ring = PackedRing(3)
+        for dividend, divisor in (({(1, 0, 0): 1}, {(0, 1, 0): 1}),
+                                  ({(1, 2, 0): 1}, {(0, 1, 1): 1})):
+            with pytest.raises(ArithmeticError):
+                ring.divexact(ring.pack(dividend), ring.pack(divisor))
+
+    def test_largest_exponent_round_trips(self):
+        ring = PackedRing(3)
+        p = {(2**31 - 1, 0, 5): 3, (0, 2**31 - 1, 0): -1}
+        assert ring.unpack(ring.pack(p)) == p
+
+
 class TestEliminate:
     def test_catalan(self):
         assert eliminate(catalan_system()) == CATALAN_POLY
@@ -105,6 +134,16 @@ class TestEliminate:
         system = stamp_system(BIN, PatternSet.from_words(["mmxxmxx"]))
         with pytest.raises(EliminationBoundError):
             eliminate(system, deadline_seconds=0.0)
+
+    def test_deadline_inside_a_resultant(self):
+        # one pseudo-division step of this system multiplies thousands of terms
+        # by hundreds, so a deadline checked only between unknowns or between
+        # steps runs seconds late
+        system = enumeration_system(parse_polish("mmxmmmmxxxxxx", BIN), marked=False)
+        start = time.monotonic()
+        with pytest.raises(EliminationBoundError, match="deadline"):
+            eliminate(system, max_unknowns=40, deadline_seconds=1)
+        assert time.monotonic() - start < 3
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
@@ -229,15 +268,19 @@ def from_sympy(sp, expr, gens) -> dict:
 
 class TestAgainstSympy:
     @settings(max_examples=50, deadline=None)
-    @given(mpolys(2), mpolys(2), st.integers(0, 1))
+    @given(mpolys(3), mpolys(3), st.integers(0, 2))
     def test_resultant(self, sp, p, q, var):
         assume(max(mp_degree(p, var), mp_degree(q, var)) >= 1)
         # the determinant of the Sylvester matrix, which defines the resultant;
         # sympy.resultant itself returns res(q, p) when p has the lower degree
         from sympy.polys.subresultants_qq_zz import sylvester
 
-        gens = sp.symbols("x y")
-        want = sylvester(to_sympy(sp, p, gens), to_sympy(sp, q, gens), gens[var]).det()
+        gens = sp.symbols("x y z")
+        # a fraction-free determinant over Z[the other two variables]: the same
+        # value as Matrix.det(), which spends seconds on cancellation per example
+        ring = sp.ZZ[[g for i, g in enumerate(gens) if i != var]]
+        matrix = sylvester(to_sympy(sp, p, gens), to_sympy(sp, q, gens), gens[var])
+        want = ring.to_sympy(matrix.to_DM(ring).det())
         assert mp_resultant(p, q, var) == from_sympy(sp, sp.expand(want), gens)
 
     @settings(max_examples=50, deadline=None)
