@@ -24,6 +24,15 @@ class ValidationError(ValueError):
     pass
 
 
+# (exception types, exit code, stderr prefix); the first matching row wins,
+# so EliminationBoundError meets its row before its base EliminationError.
+# ValueError covers ValidationError, ParseError and ImproperSystemError.
+EXIT_CODES = (
+    ((GrammarSizeError, SystemSizeError, EliminationBoundError), 3, "resource bound exceeded"),
+    ((EliminationError, ValueError), 1, "error"),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
@@ -122,11 +131,7 @@ def cmd_series(args) -> int:
 def cmd_grammar(args) -> int:
     alphabet = _alphabet(args)
     patterns = _patterns(args, alphabet)
-    try:
-        g = build_grammar(alphabet, patterns, max_nonterminals=args.max_nonterminals)
-    except GrammarSizeError as exc:
-        print(f"resource bound exceeded: {exc}", file=sys.stderr)
-        return 3
+    g = build_grammar(alphabet, patterns, max_nonterminals=args.max_nonterminals)
     sys.stdout.write(g.to_json() + "\n" if args.format == "json" else g.to_bnf())
     return 0
 
@@ -134,18 +139,14 @@ def cmd_grammar(args) -> int:
 def cmd_system(args) -> int:
     alphabet = _alphabet(args)
     patterns = _patterns(args, alphabet)
-    try:
-        if args.method == "cs":
-            system = cs_system(build_grammar(alphabet, patterns, max_nonterminals=args.max_nonterminals))
-        elif args.method == "stamp":
-            system = stamp_system(alphabet, patterns)
-        else:
-            if len(patterns.patterns) != 1:
-                raise ValidationError("--method en takes exactly one pattern")
-            system = enumeration_system(patterns.patterns[0])
-    except (GrammarSizeError, SystemSizeError) as exc:
-        print(f"resource bound exceeded: {exc}", file=sys.stderr)
-        return 3
+    if args.method == "cs":
+        system = cs_system(build_grammar(alphabet, patterns, max_nonterminals=args.max_nonterminals))
+    elif args.method == "stamp":
+        system = stamp_system(alphabet, patterns)
+    else:
+        if len(patterns.patterns) != 1:
+            raise ValidationError("--method en takes exactly one pattern")
+        system = enumeration_system(patterns.patterns[0])
     sys.stdout.write(system.to_text())
     return 0
 
@@ -153,16 +154,8 @@ def cmd_system(args) -> int:
 def cmd_eliminate(args) -> int:
     alphabet = _alphabet(args)
     patterns = _patterns(args, alphabet)
-    try:
-        system = cs_system(build_grammar(alphabet, patterns, max_nonterminals=args.max_nonterminals))
-        poly = eliminate(system, max_unknowns=args.max_unknowns,
-                         deadline_seconds=args.deadline)
-    except (GrammarSizeError, EliminationBoundError) as exc:
-        print(f"resource bound exceeded: {exc}", file=sys.stderr)
-        return 3
-    except EliminationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    system = cs_system(build_grammar(alphabet, patterns, max_nonterminals=args.max_nonterminals))
+    poly = eliminate(system, max_unknowns=args.max_unknowns, deadline_seconds=args.deadline)
     print(poly.pretty())
     _, target = solve_truncated(system, args.check_order)
     ok = annihilates(poly, target, args.check_order)
@@ -273,12 +266,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        for types, code, prefix in EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -458,7 +458,7 @@ def annihilates(p: BivarPoly, series: TruncatedSeries, order: int) -> bool:
 
 def system_polynomials(system: AlgebraicSystem) -> tuple[list[dict[Exps, int]], int]:
     """Defining polynomials unknown_i - rhs_i over variables (x, y_0..y_{N-1}, G),
-    plus the target-combination polynomial G - sum(target), keyed by exponent
+    plus the target polynomial G - sum(target), keyed by exponent
     tuples.  Returns (polys, nvars)."""
     if len(system.weight_vars) != 1:
         raise EliminationError("elimination supports one weight variable")
@@ -480,10 +480,9 @@ def system_polynomials(system: AlgebraicSystem) -> tuple[list[dict[Exps, int]], 
             p[e] = p.get(e, 0) - m.coeff
         polys.append({e: c for e, c in p.items() if c})
     gpoly = {unit(nvars - 1): 1}
-    for coeff, ui in system.target:
-        e = unit(1 + ui)
-        gpoly[e] = gpoly.get(e, 0) - coeff
-    polys.append({e: c for e, c in gpoly.items() if c})
+    for ui in system.target:
+        gpoly[unit(1 + ui)] = -1
+    polys.append(gpoly)
     return polys, nvars
 
 

@@ -54,11 +54,24 @@ class Grammar:
     rules: tuple[Rule, ...]
 
     @cached_property
-    def rules_by_head(self) -> dict[Tree | None, tuple[Rule, ...]]:
-        out: dict[Tree | None, list[Rule]] = {}
+    def numbered_rules(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
+                                      tuple[tuple[str | int, ...], ...]]:
+        """The rules with every nonterminal replaced by its index in
+        nonterminals: (start, heads, bodies), where start lists the start
+        symbol's alternatives, heads[v] the body ids of nonterminal v, and
+        bodies[b] body b with terminals kept as labels.  Integer keys spare
+        derivation counting the recursive Tree hash."""
+        index = {v: i for i, v in enumerate(self.nonterminals)}
+        start: list[int] = []
+        heads: list[list[int]] = [[] for _ in self.nonterminals]
+        bodies: list[tuple[str | int, ...]] = []
         for r in self.rules:
-            out.setdefault(r.head, []).append(r)
-        return {h: tuple(rs) for h, rs in out.items()}
+            if r.head is None:
+                start.append(index[r.body[0]])
+            else:
+                heads[index[r.head]].append(len(bodies))
+                bodies.append(tuple(s if isinstance(s, str) else index[s] for s in r.body))
+        return tuple(start), tuple(map(tuple, heads)), tuple(bodies)
 
     def is_proper(self) -> bool:
         """Every non-start rule body contains at least one terminal."""
@@ -204,23 +217,18 @@ def count_derivations(grammar: Grammar, word: str) -> int:
     except ValueError:
         return 0
     n = len(tokens)
-    by_head = grammar.rules_by_head
-    nt_count_cache: dict[tuple[Tree, int, int], int] = {}
+    start, heads, bodies = grammar.numbered_rules
+    nt_count_cache: dict[tuple[int, int, int], int] = {}
     seq_cache: dict[tuple[int, int, int, int], int] = {}
-    bodies: list[tuple[str | Tree, ...]] = []
-    body_id: dict[tuple[str | Tree, ...], int] = {}
 
-    def count_nt(nt: Tree, i: int, j: int) -> int:
+    def count_nt(nt: int, i: int, j: int) -> int:
         key = (nt, i, j)
         if key in nt_count_cache:
             return nt_count_cache[key]
         nt_count_cache[key] = 0  # cycle guard; grammar rules always consume a terminal
         total = 0
-        for rule in by_head.get(nt, ()):
-            if rule.body not in body_id:
-                body_id[rule.body] = len(bodies)
-                bodies.append(rule.body)
-            total += count_seq(body_id[rule.body], 0, i, j)
+        for bid in heads[nt]:
+            total += count_seq(bid, 0, i, j)
         nt_count_cache[key] = total
         return total
 
@@ -228,19 +236,18 @@ def count_derivations(grammar: Grammar, word: str) -> int:
         body = bodies[bid]
         if pos == len(body):
             return 1 if i == j else 0
+        sym = body[pos]
+        if isinstance(sym, str):
+            return count_seq(bid, pos + 1, i + 1, j) if i < j and tokens[i] == sym else 0
         key = (bid, pos, i, j)
         if key in seq_cache:
             return seq_cache[key]
-        sym = body[pos]
-        if isinstance(sym, str):
-            result = count_seq(bid, pos + 1, i + 1, j) if i < j and tokens[i] == sym else 0
-        else:
-            result = 0
-            for mid in range(i + 1, j + 1):
-                left = count_nt(sym, i, mid)
-                if left:
-                    result += left * count_seq(bid, pos + 1, mid, j)
+        result = 0
+        for mid in range(i + 1, j + 1):
+            left = count_nt(sym, i, mid)
+            if left:
+                result += left * count_seq(bid, pos + 1, mid, j)
         seq_cache[key] = result
         return result
 
-    return sum(count_nt(r.body[0], 0, n) for r in by_head.get(None, ()))
+    return sum(count_nt(nt, 0, n) for nt in start)

@@ -18,12 +18,11 @@ Two implementation notes that matter for whole-sweep classification:
   rides on CPython's big-integer multiply.  The solver picks the width
   itself from a one-unknown majorant system (see _majorant), solved first as
   a univariate series, and re-checks every coefficient against it when the
-  result is unpacked.
+  result is unpacked.  The target, a sum of distinct unknowns, is added up
+  on the packed rows and unpacked once.
 """
 
 from __future__ import annotations
-
-import json
 
 try:
     from gmpy2 import mpz as _bigint
@@ -120,16 +119,6 @@ class TruncatedSeries:
             out[k] = out.get(k, 0) + v
         return TruncatedSeries(self.variables, order, sparse=out)
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "TruncatedSeries":
-        if self.is_univariate:
-            return TruncatedSeries(self.variables, self.order,
-                                   dense=tuple(c * a for a in self._dense))
-        return TruncatedSeries(self.variables, self.order,
-                               sparse={k: c * v for k, v in self._sparse.items()})
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = self._require_compatible(other)
         if self.is_univariate:
@@ -149,23 +138,6 @@ class TruncatedSeries:
                     key = (i1 + i2, j1 + j2)
                     out[key] = out.get(key, 0) + a * b
         return TruncatedSeries(self.variables, order, sparse=out)
-
-    def pow_int(self, e: int) -> "TruncatedSeries":
-        if e < 0:
-            raise ValueError("negative powers are not defined here")
-        result = self.one_like()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def one_like(self) -> "TruncatedSeries":
-        if self.is_univariate:
-            return TruncatedSeries(self.variables, self.order, dense=(1,))
-        return TruncatedSeries(self.variables, self.order, sparse={(0, 0): 1})
 
     def is_zero(self) -> bool:
         if self.is_univariate:
@@ -206,28 +178,6 @@ class TruncatedSeries:
         )
         return f"{head};{entries}" if entries else head
 
-    def to_json_dict(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "order": self.order,
-            "coefficients": [[list(e), c] for e, c in self.nonzero_items()],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TruncatedSeries":
-        variables = tuple(data["variables"])
-        order = data["order"]
-        if len(variables) == 1:
-            dense = [0] * (order + 1)
-            for exps, c in data["coefficients"]:
-                dense[exps[0]] = c
-            return cls(variables, order, dense=tuple(dense))
-        return cls(variables, order,
-                   sparse={tuple(e): c for e, c in data["coefficients"]})
-
 
 # -- the solver ------------------------------------------------------------------
 
@@ -262,9 +212,8 @@ def _compile_plan(system: AlgebraicSystem):
 
     # instruction tuples, per equation:
     #   ("const", a, b, coeff)
-    #   ("lin",   a, b, coeff, src)
+    #   ("term",  a, b, coeff, src)           -- read an unknown's or a chain node's slice
     #   ("prod",  a, b, coeff, left, right)   -- convolution slice of two series
-    #   ("node",  a, b, coeff, src)           -- read a chain node's slice
     plans: list[list[tuple]] = []
     for eq in system.equations:
         instrs: list[tuple] = []
@@ -276,7 +225,7 @@ def _compile_plan(system: AlgebraicSystem):
             if k == 0:
                 instrs.append(("const", a, b, m.coeff))
             elif k == 1:
-                instrs.append(("lin", a, b, m.coeff, m.factors[0]))
+                instrs.append(("term", a, b, m.coeff, m.factors[0]))
             elif k == 2 and m.coeff == 1:
                 quads.setdefault((a, b), []).append((m.factors[0], m.factors[1]))
             elif k == 2:
@@ -286,7 +235,7 @@ def _compile_plan(system: AlgebraicSystem):
                 for f in m.factors[1:-1]:
                     node = chain_node(node, f)
                 node = chain_node(node, m.factors[-1])
-                instrs.append(("node", a, b, m.coeff, node))
+                instrs.append(("term", a, b, m.coeff, node))
         for (a, b), pairs in sorted(quads.items()):
             rows: dict[int, list[int]] = {}
             for f0, f1 in pairs:
@@ -312,6 +261,9 @@ def _majorant(system: AlgebraicSystem) -> AlgebraicSystem:
     validate_proper), so at mark = 1 each unknown is at most the sum of all
     unknowns, and that sum satisfies the majorant's recurrence with <= since
     the products over all k-tuples of unknowns add up to its k-th power.
+    Any sum of distinct unknowns (such as a system's target) is bounded by
+    that same total, so it fits the same slot width and ceiling; a repeated
+    or scaled unknown would not, which is why targets are plain index sets.
     """
     totals: dict[tuple[int, tuple[int, ...]], int] = {}
     for eq in system.equations:
@@ -326,7 +278,7 @@ def _majorant(system: AlgebraicSystem) -> AlgebraicSystem:
         weight_vars=system.weight_vars[:1],
         unknowns=("S",),
         equations=(tuple(Monomial(c, (a,), (0,) * k) for (a, k), c in sorted(bounds.items())),),
-        target=((1, 0),),
+        target=(0,),
     )
 
 
@@ -335,10 +287,11 @@ def solve_truncated(system: AlgebraicSystem, order: int, *,
     """Solve the system as truncated series up to the given order.
 
     Returns (solutions, target): a name -> TruncatedSeries mapping (None when
-    include_unknowns is false) and the target series.  Bivariate systems run
-    on packed integers whose slot width comes from the majorant system's
-    largest coefficient; every unpacked coefficient is checked against the
-    majorant at its own degree, and ArithmeticError is raised on a breach.
+    include_unknowns is false) and the target series, the sum of the target
+    unknowns.  Bivariate systems run on packed integers whose slot width
+    comes from the majorant system's largest coefficient; every unpacked
+    coefficient is checked against the majorant at its own degree, and
+    ArithmeticError is raised on a breach.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
@@ -382,30 +335,25 @@ def solve_truncated(system: AlgebraicSystem, order: int, *,
                     _, a, b, coeff = instr
                     if a == n:
                         acc += _bigint(coeff) << (b * width)
-                elif kind == "lin":
+                elif kind == "term":
                     _, a, b, coeff, src = instr
-                    if 1 <= n - a:
+                    if n >= a:
                         acc += (coeff * store[src][n - a]) << (b * width)
-                elif kind == "prod":
+                else:  # prod
                     _, a, b, coeff, left, right = instr
                     if n - a >= 2:
                         acc += (coeff * conv_slice(store[left], store[right], n - a)) << (b * width)
-                else:  # node
-                    _, a, b, coeff, src = instr
-                    if 0 <= n - a:
-                        acc += (coeff * store[src][n - a]) << (b * width)
             store[ui][n] = acc
         for sid, members in sum_nodes:
             store[sid][n] = sum(store[mdx][n] for mdx in members)
 
-    def unpack(idx: int) -> TruncatedSeries:
+    def unpack(row: list) -> TruncatedSeries:
         if nvars == 1:
             return TruncatedSeries((system.weight_vars[0],), order,
-                                   dense=tuple(int(v) for v in store[idx]))
+                                   dense=tuple(int(v) for v in row))
         coeffs: dict[tuple[int, int], int] = {}
         mask = (1 << width) - 1
-        for n in range(order + 1):
-            v = store[idx][n]
+        for n, v in enumerate(row):
             yk = 0
             while v:
                 c = v & mask
@@ -420,17 +368,12 @@ def solve_truncated(system: AlgebraicSystem, order: int, *,
                 yk += 1
         return TruncatedSeries(tuple(system.weight_vars), order, sparse=coeffs)
 
-    target_acc = None
-    for coeff, ui in system.target:
-        s = unpack(ui).scale(coeff)
-        target_acc = s if target_acc is None else target_acc + s
-    if target_acc is None:
-        target_acc = TruncatedSeries.zero(tuple(system.weight_vars), order)
-
+    target = unpack([sum((store[ui][n] for ui in system.target), zero)
+                     for n in range(order + 1)])
     solutions = None
     if include_unknowns:
-        solutions = {name: unpack(i) for i, name in enumerate(system.unknowns)}
-    return solutions, target_acc
+        solutions = {name: unpack(store[i]) for i, name in enumerate(system.unknowns)}
+    return solutions, target
 
 
 def verify_solution(system: AlgebraicSystem, solutions: dict[str, TruncatedSeries],

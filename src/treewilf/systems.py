@@ -59,16 +59,22 @@ class Monomial:
 @dataclass(frozen=True)
 class AlgebraicSystem:
     """Fixed-point system: one polynomial right-hand side per unknown, plus a
-    designated linear combination of unknowns as the output series."""
+    set of unknowns whose sum is the output series.  The target holds
+    distinct unknown indices, so the solver's majorant (series._majorant),
+    which bounds the sum of all unknowns, bounds the target too."""
 
     weight_vars: tuple[str, ...]
     unknowns: tuple[str, ...]
     equations: tuple[tuple[Monomial, ...], ...]
-    target: tuple[tuple[int, int], ...]
+    target: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.equations) != len(self.unknowns):
             raise ValueError("one equation per unknown required")
+        if len(set(self.target)) != len(self.target):
+            raise ValueError(f"target repeats an unknown: {self.target}")
+        if any(not 0 <= ui < len(self.unknowns) for ui in self.target):
+            raise ValueError(f"target index out of range: {self.target}")
 
     @cached_property
     def n_unknowns(self) -> int:
@@ -122,9 +128,7 @@ class AlgebraicSystem:
             terms = [self._term_text(m) for m in self.canonical_monomials(eq)]
             rhs = " + ".join(terms) if terms else "0"
             lines.append(f"{self.unknowns[ui]} = {rhs}")
-        tparts = []
-        for c, ui in self.target:
-            tparts.append(self.unknowns[ui] if c == 1 else f"{c}*{self.unknowns[ui]}")
+        tparts = [self.unknowns[ui] for ui in self.target]
         lines.append("target = " + (" + ".join(tparts) if tparts else "0"))
         return "\n".join(lines) + "\n"
 
@@ -156,10 +160,10 @@ def cs_system(grammar: Grammar, weights: dict[str, tuple[int, ...]] | None = Non
 
     index = {v: i for i, v in enumerate(grammar.nonterminals)}
     equations: list[list[Monomial]] = [[] for _ in grammar.nonterminals]
-    target: list[tuple[int, int]] = []
+    target: list[int] = []
     for rule in grammar.rules:
         if rule.head is None:
-            target.append((1, index[rule.body[0]]))
+            target.append(index[rule.body[0]])
             continue
         wexp = [0] * nv
         factors = []
@@ -174,7 +178,7 @@ def cs_system(grammar: Grammar, weights: dict[str, tuple[int, ...]] | None = Non
         weight_vars=weight_vars,
         unknowns=tuple(_nt_name(v) for v in grammar.nonterminals),
         equations=tuple(tuple(eq) for eq in equations),
-        target=tuple(sorted(target, key=lambda t: t[1])),
+        target=tuple(sorted(target)),
     )
 
 
@@ -213,7 +217,7 @@ def stamp_system(alphabet: Alphabet, patterns: PatternSet,
         weight_vars=("z",),
         unknowns=tuple(f"Y[{emit_polish(s)}]" for s in stamps),
         equations=tuple(tuple(eq) for eq in equations),
-        target=tuple((1, i) for i in range(len(stamps))),
+        target=tuple(range(len(stamps))),
     )
 
 
@@ -347,7 +351,7 @@ def _reduced_occurrence_system(pattern: Tree, marked: bool, leaf_weights: bool) 
         weight_vars=weight_vars,
         unknowns=tuple(auto.state_name(s) for s in states),
         equations=tuple(tuple(eq) for eq in equations),
-        target=tuple((1, i) for i in range(len(states))),
+        target=tuple(range(len(states))),
     )
 
 

@@ -132,14 +132,13 @@ class TestBuildGrammar:
     def test_left_comb_rules(self):
         g = build_grammar(BIN, LEFT_COMB)
         assert len(g.nonterminals) == len(build_Ld(BIN, LEFT_COMB)) == 3
-        heads = g.rules_by_head
         mxmxx = parse_polish("mxmxx", BIN)
-        bodies = {r.body for r in heads[mxmxx]}
+        bodies = {r.body for r in g.rules if r.head == mxmxx}
         assert bodies == {
             ("m", X, parse_polish("mxx", BIN)),
             ("m", X, mxmxx),
         }
-        assert len(heads[None]) == 3
+        assert sum(r.head is None for r in g.rules) == 3
         assert g.is_proper()
 
     def test_empty_patterns_catalan_grammar(self):
@@ -208,6 +207,13 @@ class TestDerivationCounts:
         patterns = mixed_narrow_patterns()
         g = build_grammar(MIXED, patterns)
         assert_generates_exactly_avoiders(g, patterns, MIXED, 15)
+
+    def test_mixed_ternary_pattern(self):
+        # 15709 rule bodies over 28 nonterminals: this stays within seconds
+        # only because the memo tables are keyed by integers, not by trees
+        patterns = PatternSet.from_words(["wxmxxx"], MIXED)
+        g = build_grammar(MIXED, patterns)
+        assert_generates_exactly_avoiders(g, patterns, MIXED, 6)
 
     def test_mixed_free_language(self):
         patterns = PatternSet(MIXED, ())

@@ -227,7 +227,7 @@ class TestProperness:
                 (Monomial(1, (1,), ()), Monomial(1, (0,), (1,))),
                 (Monomial(1, (1,), ()),),
             ),
-            target=((1, 0),),
+            target=(0,),
         )
         with pytest.raises(ImproperSystemError):
             system.validate_proper()
@@ -237,10 +237,20 @@ class TestProperness:
             weight_vars=("x",),
             unknowns=("A",),
             equations=(((Monomial(1, (0,), ())),),),
-            target=((1, 0),),
+            target=(0,),
         )
         with pytest.raises(ImproperSystemError):
             system.validate_proper()
+
+    @pytest.mark.parametrize("target", [(0, 0), (1,), (-1,)])
+    def test_target_must_be_distinct_unknowns(self, target):
+        with pytest.raises(ValueError):
+            AlgebraicSystem(
+                weight_vars=("x",),
+                unknowns=("A",),
+                equations=((Monomial(1, (1,), ()),),),
+                target=target,
+            )
 
     def test_zero_weight_two_factors_allowed(self):
         system = stamp_system(BIN, PatternSet.from_words(["mmxxx"]))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,27 @@ from treewilf.wilf import (
     cross_check_en_vs_av,
     stabilization_scan,
 )
+
+
+# sha256 of classify(n, 257, mode, workers=1).canonical_bytes(); a change to
+# the solver, the systems or the report format that moves any byte shows here.
+REPORT_DIGESTS = {
+    ("av", 2): "0b89946911c217c1db6e012a1380eda8bbd85fed9567acf5acf83a8992ec9f8f",
+    ("av", 3): "f111df79ef14bb795b6ccf1c0ff2f7113c479a98eba61fe09c4e5072ef15ec06",
+    ("av", 4): "52c64c162ad13f85c348a2395df578f93856a902c40d006e7db76adf566afd35",
+    ("av", 5): "c17c838ceb38f3eda9b62cc5e5fe688e012b6868934e39a56fc39b8988ffa5a2",
+    ("av", 6): "04190f6a5aed1fc3d981155d7e54af4c3c1eb3a28aee625841b180932c4a1559",
+    ("av", 7): "a7b487e10a651c57b82f049c92de0b75b1960dfa1d3f70b75daddace5f129dc1",
+    ("en", 2): "25412dd4bb47071fd552800fb7598c052458a71bbda9768eefc54878aa44173f",
+    ("en", 3): "4892800281f2ac56509822cc79bb32225596db92b51fa7c6be429dc6880bda85",
+    ("en", 4): "6a03741b3e6a23fc9b8340fe21eeb83ea51cdb3e51c78236558e39397f4efe2d",
+}
+
+
+@pytest.mark.parametrize("mode,n", sorted(REPORT_DIGESTS))
+def test_report_bytes_pinned(mode, n):
+    report = classify(n, 257, mode, workers=1)
+    assert hashlib.sha256(report.canonical_bytes()).hexdigest() == REPORT_DIGESTS[(mode, n)]
 
 
 class TestClassify:
