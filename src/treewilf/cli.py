@@ -98,8 +98,7 @@ def cmd_classify(args) -> int:
     report = classify(
         args.leaves, args.order, args.mode,
         workers=args.workers if args.workers is not None else default_workers(),
-        mirror_reduce=not args.no_mirror_reduce,
-        verify_mirror=args.verify_mirror,
+        mirror_reduce=not args.verify_mirror,
         progress=_progress(f"classify n={args.leaves} {args.mode}") if not args.quiet else None,
     )
     if args.out:
@@ -211,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (default: TREEWILF_WORKERS, else the CPU count)")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--csv", default=None, help="append a CSV summary row here")
-    p.add_argument("--no-mirror-reduce", action="store_true")
     p.add_argument("--verify-mirror", action="store_true",
-                   help="solve both members of each mirror pair and compare")
+                   help="solve every pattern instead of one per mirror pair, and check "
+                        "that each mirror pair shares a class")
     p.add_argument("--deep", action="store_true",
                    help="allow the hours-scale sweeps (10 or more leaves)")
     p.add_argument("--quiet", action="store_true")

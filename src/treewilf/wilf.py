@@ -1,11 +1,12 @@
 """Classification sweep: group all n-leaf binary patterns by truncated series.
 
 The class key is the byte-stable canonical serialization of the truncated
-avoidance (or occurrence-marked) series.  Keys are bucketed by hash and
-compared in full within a bucket, so a hash collision can never merge two
-distinct classes.  Counts are lower bounds for the true class counts; the
-one shipped upgrade to an exact count is the eight-leaf divisibility
-certificate from the elim module.
+avoidance (or occurrence-marked) series.  Classes are numbered by a dict on
+the exact key bytes, with no hash buckets, so a hash collision can never
+merge two distinct classes; the sha256 in the report only names a class.
+Counts are lower bounds for the true class counts; the one shipped upgrade
+to an exact count is the eight-leaf divisibility certificate from the elim
+module.
 
 Per-pattern work is embarrassingly parallel; results are merged in canonical
 pattern order, so reports are byte-identical for any worker count.
@@ -17,7 +18,7 @@ import hashlib
 import json
 import os
 import time
-import zlib
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
@@ -101,20 +102,18 @@ class ClassificationReport:
 CSV_HEADER = "n,K,mode,class_count,pattern_count,seconds"
 
 
-def _sweep_worker(args) -> tuple[str, list[tuple[int, str, bytes]]]:
-    """Solve one representative pattern and emit (order, digest, blob) per
+def _sweep_worker(args) -> tuple[str, list[bytes]]:
+    """Solve one representative pattern and return its class key for each
     requested truncation order.  Restriction of a solved series to a lower
     order is exact, so one solve serves the whole order list."""
     word, orders, mode = args
     tree = parse_polish(word, _BINARY)
     top = max(orders)
-    series = en_series(tree, top) if mode == "en" else av_series(tree, top)
-    out = []
-    for k in sorted(orders, reverse=True):
-        series = series.restrict(k)
-        key = series.serialize().encode()
-        out.append((k, hashlib.sha256(key).hexdigest(), zlib.compress(key, 6)))
-    return word, out
+    try:
+        series = en_series(tree, top) if mode == "en" else av_series(tree, top)
+    except Exception as exc:
+        raise RuntimeError(f"solving pattern {word} ({mode}, K={top}) failed: {exc!r}") from exc
+    return word, [series.restrict(k).serialize().encode() for k in orders]
 
 
 def default_workers() -> int:
@@ -131,62 +130,48 @@ def _mirror_word(word: str) -> str:
     return emit_polish(mirror(parse_polish(word, _BINARY)))
 
 
-def _run_jobs(jobs: list[tuple], workers: int, progress=None) -> dict:
-    results: dict[str, list] = {}
-    if workers <= 1 or len(jobs) <= 1:
-        for i, job in enumerate(jobs):
-            word, payload = _sweep_worker(job)
-            results[word] = payload
+def _sweep(n_leaves: int, orders: list[int], mode: str, workers: int, progress,
+           mirror_reduce: bool = True) -> tuple[dict[str, list[int]], list[list[bytes]]]:
+    """Solve the n-leaf patterns and number their class keys per order.
+
+    Returns each pattern's class number per order, in canonical pattern
+    order, and per order the list of keys indexed by class number.  Numbers
+    follow the order in which results arrive; with mirror_reduce off every
+    pattern is solved and each mirror pair must get the same numbers."""
+    patterns = [emit_polish(t) for t in enumerate_binary_patterns(n_leaves)]
+    rep_of = {w: min(w, _mirror_word(w)) if mirror_reduce else w for w in patterns}
+    jobs = [(w, orders, mode) for w in sorted(set(rep_of.values()))]
+    numbering: list[dict[bytes, int]] = [{} for _ in orders]
+    class_of: dict[str, list[int]] = {}
+    with ExitStack() as stack:
+        if workers <= 1 or len(jobs) <= 1:
+            results = map(_sweep_worker, jobs)
+        else:
+            pool = stack.enter_context(Pool(workers))
+            results = pool.imap_unordered(_sweep_worker, jobs,
+                                          chunksize=max(1, len(jobs) // (workers * 8)))
+        for done, (word, keys) in enumerate(results, 1):
+            class_of[word] = [ids.setdefault(key, len(ids)) for ids, key in zip(numbering, keys)]
             if progress:
-                progress(i + 1, len(jobs))
-        return results
-    chunk = max(1, len(jobs) // (workers * 8))
-    with Pool(workers) as pool:
-        for i, (word, payload) in enumerate(
-            pool.imap_unordered(_sweep_worker, jobs, chunksize=chunk)
-        ):
-            results[word] = payload
-            if progress:
-                progress(i + 1, len(jobs))
-    return results
-
-
-def _group_classes(pattern_words: list[str], rep_of: dict[str, str],
-                   keyed: dict[str, dict[int, tuple[str, bytes]]],
-                   order: int) -> list[ClassEntry]:
-    classes: list[ClassEntry] = []
-    blob_of_class: list[bytes] = []
-    by_digest: dict[str, list[int]] = {}
-    for word in pattern_words:
-        digest, blob = keyed[rep_of[word]][order]
-        hit = None
-        for cid in by_digest.get(digest, ()):
-            if blob_of_class[cid] == blob:
-                hit = cid
-                break
-        if hit is None:
-            hit = len(classes)
-            classes.append(ClassEntry(digest, [], _series_prefix(blob)))
-            blob_of_class.append(blob)
-            by_digest.setdefault(digest, []).append(hit)
-        classes[hit].members.append(word)
-    return classes
-
-
-def _series_prefix(blob: bytes, n: int = 8) -> list[str]:
-    text = zlib.decompress(blob).decode()
-    return text.split(";")[2: 2 + n]
+                progress(done, len(jobs))
+    if not mirror_reduce:
+        for w in patterns:
+            mw = _mirror_word(w)
+            if class_of[w] != class_of[mw]:
+                raise AssertionError(f"mirror pair {w} / {mw} disagree; this is a bug")
+    return {w: class_of[rep_of[w]] for w in patterns}, [list(ids) for ids in numbering]
 
 
 def classify(n_leaves: int, order: int = 257, mode: str = "av", *,
              workers: int = 1, mirror_reduce: bool = True,
-             verify_mirror: bool = False, progress=None) -> ClassificationReport:
+             progress=None) -> ClassificationReport:
     """Group all n-leaf binary patterns by their truncated series.
 
     mode "av" keys on the avoidance series, "en" on the occurrence-marked
     series.  Mirror-image patterns always share a class (reflection preserves
     vertex and occurrence counts), so by default only one member of each
-    mirror pair is solved; verify_mirror solves both and checks agreement.
+    mirror pair is solved.  With mirror_reduce=False every pattern is solved
+    and an AssertionError is raised if a mirror pair lands in two classes.
     """
     if n_leaves < 2:
         raise ValueError("patterns need at least 2 leaves")
@@ -196,21 +181,15 @@ def classify(n_leaves: int, order: int = 257, mode: str = "av", *,
         raise ValueError(f"order {order} cannot separate {n_leaves}-leaf patterns; "
                          f"need at least {2 * n_leaves}")
     start = time.monotonic()
-    patterns = [emit_polish(t) for t in enumerate_binary_patterns(n_leaves)]
-    if mirror_reduce and not verify_mirror:
-        rep_of = {w: min(w, _mirror_word(w)) for w in patterns}
-    else:
-        rep_of = {w: w for w in patterns}
-    jobs = [(w, [order], mode) for w in sorted(set(rep_of.values()))]
-    results = _run_jobs(jobs, workers, progress)
-    keyed = {w: dict((k, (d, b)) for k, d, b in payload)
-             for w, payload in results.items()}
-    if verify_mirror:
-        for w in patterns:
-            mw = _mirror_word(w)
-            if keyed[w][order][1] != keyed[mw][order][1]:
-                raise AssertionError(f"mirror pair {w} / {mw} disagree; this is a bug")
-    classes = _group_classes(patterns, rep_of, keyed, order)
+    class_of, (keys,) = _sweep(n_leaves, [order], mode, workers, progress, mirror_reduce)
+    entries: dict[int, ClassEntry] = {}
+    for word, (cid,) in class_of.items():
+        if cid not in entries:
+            key = keys[cid]
+            entries[cid] = ClassEntry(hashlib.sha256(key).hexdigest(), [],
+                                      key.decode().split(";")[2:10])
+        entries[cid].members.append(word)
+    classes = list(entries.values())
 
     exactness = "lower_bound"
     certificate = None
@@ -227,7 +206,7 @@ def classify(n_leaves: int, order: int = 257, mode: str = "av", *,
         order=order,
         class_count=len(classes),
         classes=classes,
-        pattern_count=len(patterns),
+        pattern_count=len(class_of),
         exactness=exactness,
         certificate=certificate,
         mirror_reduced=mirror_reduce,
@@ -242,16 +221,8 @@ def stabilization_scan(n_leaves: int, orders: list[int], mode: str = "av", *,
     at the largest order and restricted downward, which is exact."""
     if not orders or sorted(orders) != list(orders):
         raise ValueError("orders must be a nondecreasing nonempty list")
-    patterns = [emit_polish(t) for t in enumerate_binary_patterns(n_leaves)]
-    rep_of = {w: min(w, _mirror_word(w)) for w in patterns}
-    jobs = [(w, list(orders), mode) for w in sorted(set(rep_of.values()))]
-    results = _run_jobs(jobs, workers, progress)
-    keyed = {w: dict((k, (d, b)) for k, d, b in payload)
-             for w, payload in results.items()}
-    return {
-        k: len(_group_classes(patterns, rep_of, keyed, k))
-        for k in orders
-    }
+    _, keys = _sweep(n_leaves, list(orders), mode, workers, progress)
+    return {k: len(ks) for k, ks in zip(orders, keys)}
 
 
 def cross_check_en_vs_av(n_leaves: int, order: int = 257, *,

@@ -122,6 +122,24 @@ class TestClassifyCommand:
         assert data["class_count"] == 2
         assert csv_file.read_text().startswith("4,40,av,2,5,")
 
+    def test_verify_mirror_solves_every_pattern(self, capsys, tmp_path):
+        reports = {}
+        for name, extra in (("default", ()), ("verify", ("--verify-mirror",))):
+            out_file = tmp_path / f"{name}.json"
+            code, _, _ = run(capsys, "classify", "-n", "4", "-K", "40", *extra, "--quiet",
+                             "--workers", "1", "--out", str(out_file))
+            assert code == 0
+            reports[name] = json.loads(out_file.read_text())
+        assert reports["default"]["mirror_reduced"] is True
+        assert reports["verify"]["mirror_reduced"] is False
+        assert reports["verify"]["classes"] == reports["default"]["classes"]
+
+    def test_no_mirror_reduce_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "-n", "4", "--no-mirror-reduce", "--quiet"])
+        assert exc.value.code == 1
+        assert "--no-mirror-reduce" in capsys.readouterr().err
+
     def test_deep_gate(self, capsys):
         code, _, err = run(capsys, "classify", "-n", "10", "--quiet", "--workers", "1")
         assert code == 1

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from treewilf.trees import catalan
+import treewilf.wilf
+from treewilf.trees import Alphabet, catalan, emit_polish, parse_polish
 from treewilf.wilf import (
     CSV_HEADER,
     classify,
@@ -47,7 +48,7 @@ class TestClassify:
         assert len(members) == len(set(members))
 
     def test_mirror_pairs_share_class(self):
-        report = classify(5, 40, "av", verify_mirror=True)
+        report = classify(5, 40, "av", mirror_reduce=False)
         from treewilf.wilf import _mirror_word
 
         cls_of = {w: i for i, c in enumerate(report.classes) for w in c.members}
@@ -72,6 +73,33 @@ class TestClassify:
         assert fast.partition() == slow.partition()
         assert fast.class_count == slow.class_count
         assert fast.canonical_bytes() != slow.canonical_bytes()  # the flag is recorded
+
+    def test_mirror_check_catches_a_split_pair(self, monkeypatch):
+        real = treewilf.wilf.av_series
+
+        def wrong_for_mxmxx(tree, order):
+            if emit_polish(tree) == "mxmxx":
+                tree = parse_polish("mxx", Alphabet.binary())
+            return real(tree, order)
+
+        monkeypatch.setattr(treewilf.wilf, "av_series", wrong_for_mxmxx)
+        assert classify(3, 40, "av").class_count == 1  # mxmxx is never solved
+        with pytest.raises(AssertionError, match="mirror pair"):
+            classify(3, 40, "av", mirror_reduce=False)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_failure_names_its_pattern(self, monkeypatch, workers):
+        real = treewilf.wilf.av_series
+
+        def boom_for_mmxxx(tree, order):
+            if emit_polish(tree) == "mmxxx":
+                raise ArithmeticError("boom")
+            return real(tree, order)
+
+        # the pool forks, so its workers see the patched solver
+        monkeypatch.setattr(treewilf.wilf, "av_series", boom_for_mmxxx)
+        with pytest.raises(RuntimeError, match=r"mmxxx \(av, K=40\).*boom"):
+            classify(3, 40, "av", workers=workers, mirror_reduce=False)
 
     def test_validation(self):
         with pytest.raises(ValueError):
