@@ -26,9 +26,11 @@ class ValidationError(ValueError):
 
 # (exception types, exit code, stderr prefix); the first matching row wins,
 # so EliminationBoundError meets its row before its base EliminationError.
-# ValueError covers ValidationError, ParseError and ImproperSystemError.
+# ValueError covers ValidationError, ParseError and ImproperSystemError;
+# RecursionError is what a pattern deeper than the interpreter's stack gives.
 EXIT_CODES = (
-    ((GrammarSizeError, SystemSizeError, EliminationBoundError), 3, "resource bound exceeded"),
+    ((GrammarSizeError, SystemSizeError, EliminationBoundError, RecursionError), 3,
+     "resource bound exceeded"),
     ((EliminationError, ValueError), 1, "error"),
 )
 

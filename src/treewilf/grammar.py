@@ -167,42 +167,46 @@ def membership_class_setwise(w: Tree, patterns: PatternSet, Ld: list[Tree] | Non
     return hits[0] if len(hits) == 1 else None
 
 
-def build_grammar(alphabet: Alphabet, patterns: PatternSet, max_nonterminals: int | None = None) -> Grammar:
+def build_grammar(alphabet: Alphabet, patterns: PatternSet, max_nonterminals: int | None = None,
+                  height: int | None = None) -> Grammar:
     """The avoidance-language grammar: S -> T_v for v in L_d, T_x -> x, and
     T_v -> m T_{v1} ... T_{vk} whenever m(v1,...,vk) avoids the patterns and
-    its height-d truncation is v."""
-    d = patterns.d
-    Ld = build_Ld(alphabet, patterns, max_size=max_nonterminals)
+    its height-d truncation is v.  d is the maximal pattern height unless
+    another height is given; any height from d - 1 up gives an unambiguous
+    grammar of the same language, since a root occurrence of a height-d
+    pattern shows in the height-(d-1) truncations of the children.
+
+    The rules come in canonical order: the start rules in L_d order, then
+    each head's bodies by label in alphabet order and by children in
+    product order over L_d, which is the order of their Polish words."""
+    d = patterns.d if height is None else height
+    if d < max(patterns.d - 1, 0):
+        raise ValueError(f"height {d} is too low to see a root occurrence of a height-{patterns.d} pattern")
+    Ld = build_Ld(alphabet, patterns, max_size=max_nonterminals, height=d)
     if max_nonterminals is not None and len(Ld) > max_nonterminals:
         raise GrammarSizeError(
             f"|L_d| = {len(Ld)} exceeds the nonterminal budget of {max_nonterminals}"
         )
-    in_Ld = set(Ld)
+    index = {v: i for i, v in enumerate(Ld)}
     plist = patterns.patterns
-
-    rules: list[Rule] = [Rule(None, (v,)) for v in Ld]
     x = Tree(alphabet.free_end)
-    if x in in_Ld:
-        rules.append(Rule(x, (alphabet.free_end,)))
-    body_rules: list[Rule] = []
-    for label, k in alphabet.internal_labels:
-        for kids in product(Ld, repeat=k):
-            w = Tree(label, kids)
-            if occurs_at_root(w, plist):
+    # the head of m(v1,...,vk) is m over the children's height-(d-1) truncations
+    low = [truncate(v, d - 1) for v in Ld]
+    bodies: list[list[Rule]] = [[] for _ in Ld]
+    for label, k in alphabet.labels:
+        if k == 0:
+            if x in index:
+                bodies[index[x]].append(Rule(x, (label,)))
+            continue
+        for kids, lows in zip(product(Ld, repeat=k), product(low, repeat=k)):
+            if occurs_at_root(Tree(label, kids), plist):
                 continue
-            v = truncate(w, d)
-            body_rules.append(Rule(v, (label,) + kids))
-
-    def rule_key(r: Rule):
-        head = word_key(r.head, alphabet) if r.head is not None else ()
-        body = tuple(
-            (0, alphabet.label_index[s]) if isinstance(s, str) else (1,) + word_key(s, alphabet)
-            for s in r.body
-        )
-        return (r.head is not None, head, body)
-
-    all_rules = tuple(sorted(rules + body_rules, key=rule_key))
-    return Grammar(alphabet, patterns, d, tuple(Ld), all_rules)
+            i = index[Tree(label, lows)] if d else 0  # L_0 is [x]
+            bodies[i].append(Rule(Ld[i], (label,) + kids))
+    rules = [Rule(None, (v,)) for v in Ld]
+    for b in bodies:
+        rules += b
+    return Grammar(alphabet, patterns, d, tuple(Ld), tuple(rules))
 
 
 def count_derivations(grammar: Grammar, word: str) -> int:

@@ -5,8 +5,10 @@ Three constructions are provided:
 * cs_system        -- the Chomsky-Schutzenberger system read off an
                       unambiguous avoidance grammar, one unknown per
                       nonterminal, weights attached to terminals.
-* stamp_system     -- unknowns indexed by avoiding trees of height below the
-                      maximal pattern height; the sum of the unknowns is the
+* stamp_system     -- the CS system of the grammar truncated one level lower,
+                      at height d-1, with only free ends weighted: unknowns
+                      indexed by avoiding trees of height below the maximal
+                      pattern height, and the sum of the unknowns is the
                       generating function of avoiders graded by leaf count.
 * enumeration_system -- bivariate system for the occurrence-counting series
                       of a single binary pattern, with a mark variable per
@@ -22,21 +24,11 @@ brute-force occurrence counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product
 
-from .grammar import Grammar, GrammarSizeError, build_Ld
-from .trees import (
-    Alphabet,
-    PatternSet,
-    Tree,
-    emit_polish,
-    occurs_at_root,
-    subtrees,
-    truncate,
-    word_key,
-)
+from .grammar import Grammar, GrammarSizeError, build_grammar
+from .trees import Alphabet, PatternSet, Tree, emit_polish, subtrees, word_key
 
 
 class ImproperSystemError(ValueError):
@@ -145,7 +137,7 @@ def cs_system(grammar: Grammar, weights: dict[str, tuple[int, ...]] | None = Non
     weight exponents accumulate the terminal weights and whose factors are
     the body's nonterminals.  The target sums the unknowns reachable from
     the start symbol.  Default weights count every terminal once (vertex
-    weight).
+    weight).  Internal labels may weigh zero; the free end may not.
     """
     if not grammar.is_proper():
         raise ImproperSystemError("grammar has a terminal-free rule body")
@@ -155,8 +147,11 @@ def cs_system(grammar: Grammar, weights: dict[str, tuple[int, ...]] | None = Non
     for name, vec in weights.items():
         if len(vec) != nv:
             raise ValueError(f"weight vector for {name!r} has wrong arity {vec}")
-        if any(e < 0 for e in vec) or not any(vec):
-            raise ValueError(f"weight vector for {name!r} must be nonzero and nonnegative")
+        if any(e < 0 for e in vec):
+            raise ValueError(f"weight vector for {name!r} must be nonnegative")
+    if not any(weights.get(grammar.alphabet.free_end, ())):
+        # a weightless free end makes T_x -> x a rule with no weight and no unknown
+        raise ValueError(f"the free end {grammar.alphabet.free_end!r} needs a nonzero weight")
 
     index = {v: i for i, v in enumerate(grammar.nonterminals)}
     equations: list[list[Monomial]] = [[] for _ in grammar.nonterminals]
@@ -190,35 +185,18 @@ def stamp_system(alphabet: Alphabet, patterns: PatternSet,
     truncation, which carries exactly enough of the top of the tree to
     decide whether adding a root creates a pattern occurrence.
 
-    The weight variable z marks free ends, so the target series grades
-    avoiders by leaf count (operad arity).
+    This is the Chomsky-Schutzenberger system of the grammar truncated at
+    height d-1, with the weight variable z on free ends only, so the target
+    series grades avoiders by leaf count (operad arity).
     """
-    level = max(patterns.d - 1, 0)
     try:
-        stamps = build_Ld(alphabet, patterns, max_size=max_stamps, height=level)
+        grammar = build_grammar(alphabet, patterns, max_nonterminals=max_stamps,
+                                height=max(patterns.d - 1, 0))
     except GrammarSizeError as exc:
         raise SystemSizeError(str(exc)) from exc
-    index = {s: i for i, s in enumerate(stamps)}
-    equations: list[list[Monomial]] = [[] for _ in stamps]
-    plist = patterns.patterns
-    x = Tree(alphabet.free_end)
-    if x in index:
-        equations[index[x]].append(Monomial(1, (1,), ()))
-    for label, k in alphabet.internal_labels:
-        for kids in product(stamps, repeat=k):
-            w = Tree(label, kids)
-            if occurs_at_root(w, plist):
-                continue
-            cls = truncate(w, level)
-            equations[index[cls]].append(
-                Monomial(1, (0,), tuple(index[c] for c in kids))
-            )
-    return AlgebraicSystem(
-        weight_vars=("z",),
-        unknowns=tuple(f"Y[{emit_polish(s)}]" for s in stamps),
-        equations=tuple(tuple(eq) for eq in equations),
-        target=tuple(range(len(stamps))),
-    )
+    weights = {name: (int(k == 0),) for name, k in alphabet.labels}
+    system = cs_system(grammar, weights, weight_vars=("z",))
+    return replace(system, unknowns=tuple(f"Y[{emit_polish(s)}]" for s in grammar.nonterminals))
 
 
 def _require_binary_pattern(pattern: Tree) -> None:

@@ -38,10 +38,11 @@ BINARY = Alphabet.binary()
 # alphabets; a word that happens to parse in the alphabet at hand is skipped.
 MALFORMED_WORDS = ("", "m", "w", "xx", "xm", "mmxx", "mxxx", "wxx")
 
-# The systems suite solves the stamp system to this leaf order, the grammar
-# system to the matching vertex order, and checks the stamp series against
-# brute-force avoider counts over trees with at most SYSTEMS_ORACLE_NODES
-# internal nodes (so up to SYSTEMS_ORACLE_NODES + 1 leaves).
+# The systems suite solves the stamp system (the height-(d-1) grammar's) to
+# this leaf order, the height-d grammar's system to the matching vertex
+# order, and checks the stamp series against brute-force avoider counts over
+# trees with at most SYSTEMS_ORACLE_NODES internal nodes (so up to
+# SYSTEMS_ORACLE_NODES + 1 leaves).
 SYSTEMS_ORDER = 40
 SYSTEMS_ORACLE_NODES = 9
 
@@ -161,9 +162,10 @@ def eq12_suite(order: int) -> SuiteResult:
 
 
 def systems_suite(max_leaves: int) -> SuiteResult:
-    """Stamp and grammar systems of every binary pattern with 2..min(max_leaves, 5)
-    leaves solve to the same leaf-graded series to SYSTEMS_ORDER, and the
-    stamp series matches brute-force avoider counts by leaves."""
+    """The grammars truncated at height d and at height d-1 (the stamp
+    system) of every binary pattern with 2..min(max_leaves, 5) leaves solve
+    to the same leaf-graded series to SYSTEMS_ORDER, and the stamp series
+    matches brute-force avoider counts by leaves."""
     result = SuiteResult("systems", {"patterns": 0})
     for pattern in _binary_patterns(min(max_leaves, 5)):
         word = emit_polish(pattern)

@@ -138,6 +138,10 @@ def _sweep(n_leaves: int, orders: list[int], mode: str, workers: int, progress,
     order, and per order the list of keys indexed by class number.  Numbers
     follow the order in which results arrive; with mirror_reduce off every
     pattern is solved and each mirror pair must get the same numbers."""
+    if n_leaves < 2:
+        raise ValueError("patterns need at least 2 leaves")
+    if mode not in ("av", "en"):
+        raise ValueError(f"unknown mode {mode!r}")
     patterns = [emit_polish(t) for t in enumerate_binary_patterns(n_leaves)]
     rep_of = {w: min(w, _mirror_word(w)) if mirror_reduce else w for w in patterns}
     jobs = [(w, orders, mode) for w in sorted(set(rep_of.values()))]
@@ -173,10 +177,6 @@ def classify(n_leaves: int, order: int = 257, mode: str = "av", *,
     mirror pair is solved.  With mirror_reduce=False every pattern is solved
     and an AssertionError is raised if a mirror pair lands in two classes.
     """
-    if n_leaves < 2:
-        raise ValueError("patterns need at least 2 leaves")
-    if mode not in ("av", "en"):
-        raise ValueError(f"unknown mode {mode!r}")
     if order < 2 * n_leaves:
         raise ValueError(f"order {order} cannot separate {n_leaves}-leaf patterns; "
                          f"need at least {2 * n_leaves}")

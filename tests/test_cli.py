@@ -202,6 +202,12 @@ class TestVerifyCommand:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("command, option", [("series", "--pattern"), ("grammar", "--patterns")])
+    def test_pattern_deeper_than_the_stack(self, capsys, command, option):
+        code, _, err = run(capsys, command, option, "m" * 1200 + "x" * 1201)
+        assert code == 3
+        assert err.startswith("resource bound exceeded:")
+
     def test_unknown_command_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

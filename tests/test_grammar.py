@@ -18,12 +18,15 @@ from treewilf.trees import (
     Tree,
     avoids,
     emit_polish,
+    enumerate_binary_patterns,
     parse_polish,
     truncate,
+    word_key,
 )
 
 BIN = Alphabet.binary()
 MIXED = Alphabet(labels=(("m", 2), ("w", 3), ("x", 0)), free_end="x")
+X_FIRST = Alphabet(labels=(("x", 0), ("w", 3), ("m", 2)), free_end="x")
 X = Tree("x")
 
 LEFT_COMB = PatternSet.from_words(["mmxxx"])
@@ -176,6 +179,34 @@ class TestBuildGrammar:
         assert "T[mxmxx]" in data["nonterminals"]
         assert {"head": "T[x]", "body": ["x"]} in data["rules"]
 
+    @pytest.mark.parametrize("alphabet, words", [
+        (BIN, []), (BIN, ["mmxxx"]), (BIN, ["mmxxmxx"]), (BIN, ["mmxxx", "mxmxx"]),
+        (MIXED, []), (MIXED, ["wxmxxx"]), (X_FIRST, []), (X_FIRST, ["wxmxxx"]),
+        (X_FIRST, ["mmxxx", "mwxxxx"]),
+    ])
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_rules_in_canonical_order(self, alphabet, words, lower):
+        def rule_key(r):
+            # start rules first, then by head word, then by body symbols,
+            # terminals by alphabet position and nonterminals by their word
+            head = word_key(r.head, alphabet) if r.head is not None else ()
+            body = tuple(
+                (0, alphabet.label_index[s]) if isinstance(s, str) else (1,) + word_key(s, alphabet)
+                for s in r.body
+            )
+            return (r.head is not None, head, body)
+
+        patterns = PatternSet.from_words(words, alphabet)
+        height = max(patterns.d - 1, 0) if lower else None
+        g = build_grammar(alphabet, patterns, height=height)
+        assert g.rules == tuple(sorted(g.rules, key=rule_key))
+        assert len(set(g.rules)) == len(g.rules)
+
+    @pytest.mark.parametrize("words, height", [(["mmmxxxx"], 1), ([], -1)])
+    def test_height_below_d_minus_one_rejected(self, words, height):
+        with pytest.raises(ValueError, match="too low"):
+            build_grammar(BIN, PatternSet.from_words(words), height=height)
+
     @pytest.mark.parametrize("patterns", [LEFT_COMB, PatternSet.from_words(["mmxxmxx"])])
     def test_every_rule_body_rechecks(self, patterns):
         g = build_grammar(BIN, patterns)
@@ -214,6 +245,21 @@ class TestDerivationCounts:
         patterns = PatternSet.from_words(["wxmxxx"], MIXED)
         g = build_grammar(MIXED, patterns)
         assert_generates_exactly_avoiders(g, patterns, MIXED, 6)
+
+    @pytest.mark.parametrize("pattern", [p for n in (3, 4) for p in enumerate_binary_patterns(n)],
+                             ids=emit_polish)
+    def test_lower_grammar_binary(self, pattern):
+        # truncating one level below the pattern height still decides every
+        # root occurrence, so this grammar too derives each avoider once
+        patterns = PatternSet(BIN, (pattern,))
+        g = build_grammar(BIN, patterns, height=patterns.d - 1)
+        assert g.d == patterns.d - 1
+        assert_generates_exactly_avoiders(g, patterns, BIN, 11)
+
+    def test_lower_grammar_mixed_ternary_pattern(self):
+        patterns = PatternSet.from_words(["wxmxxx"], MIXED)
+        g = build_grammar(MIXED, patterns, height=patterns.d - 1)
+        assert_generates_exactly_avoiders(g, patterns, MIXED, 7)
 
     def test_mixed_free_language(self):
         patterns = PatternSet(MIXED, ())

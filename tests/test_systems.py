@@ -69,6 +69,13 @@ class TestCsSystem:
         with pytest.raises(ValueError):
             cs_system(g, weights={"m": (1, 1), "x": (1, 1)})
 
+    def test_leaf_weights_give_catalan(self):
+        # a zero-weight internal label is allowed; only the free end must weigh
+        g = build_grammar(BIN, PatternSet(BIN, ()))
+        system = cs_system(g, weights={"m": (0,), "x": (1,)}, weight_vars=("z",))
+        _, target = solve_truncated(system, 10)
+        assert [target.coefficient(n) for n in range(1, 11)] == [catalan(n - 1) for n in range(1, 11)]
+
     def test_improper_grammar_rejected(self):
         from treewilf.grammar import Grammar, Rule
 

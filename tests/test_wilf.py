@@ -154,6 +154,14 @@ class TestStabilization:
         with pytest.raises(ValueError):
             stabilization_scan(4, [], "av")
 
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            stabilization_scan(5, [20], "bogus")
+
+    def test_too_few_leaves(self):
+        with pytest.raises(ValueError, match="at least 2 leaves"):
+            stabilization_scan(1, [20])
+
 
 class TestCrossCheck:
     def test_small_sizes_agree(self):
