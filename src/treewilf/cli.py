@@ -27,10 +27,11 @@ class ValidationError(ValueError):
 # (exception types, exit code, stderr prefix); the first matching row wins,
 # so EliminationBoundError meets its row before its base EliminationError.
 # ValueError covers ValidationError, ParseError and ImproperSystemError;
-# RecursionError is what a pattern deeper than the interpreter's stack gives.
+# RecursionError is what a pattern deeper than the interpreter's stack gives,
+# and OverflowError or MemoryError what an order too large to allocate gives.
 EXIT_CODES = (
-    ((GrammarSizeError, SystemSizeError, EliminationBoundError, RecursionError), 3,
-     "resource bound exceeded"),
+    ((GrammarSizeError, SystemSizeError, EliminationBoundError, RecursionError,
+      OverflowError, MemoryError), 3, "resource bound exceeded"),
     ((EliminationError, ValueError), 1, "error"),
 )
 
@@ -79,6 +80,13 @@ def _single_pattern(word: str, alphabet: Alphabet) -> Tree:
         raise ValidationError(f"pattern {word!r}: {exc}") from exc
 
 
+def _at_least(minimum: int, args, *flags: str) -> None:
+    for flag in flags:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value is not None and value < minimum:
+            raise ValidationError(f"{flag} must be at least {minimum}, got {value}")
+
+
 def _progress(label: str):
     state = {"last": 0.0}
 
@@ -92,6 +100,7 @@ def _progress(label: str):
 
 
 def cmd_classify(args) -> int:
+    _at_least(1, args, "--workers")
     if args.leaves >= 10 and not args.deep:
         raise ValidationError(
             f"n={args.leaves} sweeps Catalan({args.leaves - 1}) patterns and runs for a long "
@@ -166,6 +175,8 @@ def cmd_eliminate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _at_least(0, args, "--max-len", "--max-leaves", "--max-nodes")
+
     def pattern_set() -> tuple[Alphabet, PatternSet]:
         alphabet = _alphabet(args)
         if args.patterns or args.patterns_file:
@@ -270,7 +281,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         for types, code, prefix in EXIT_CODES:
             if isinstance(exc, types):
-                print(f"{prefix}: {exc}", file=sys.stderr)
+                # a MemoryError usually carries no message; name it instead
+                print(f"{prefix}: {str(exc) or type(exc).__name__}", file=sys.stderr)
                 return code
         raise
 

@@ -13,16 +13,30 @@ Two implementation notes that matter for whole-sweep classification:
   multiplied once.  This is exact (plain distributivity) and collapses the
   number of series convolutions from the number of bodies to the number of
   factor classes.
-* bivariate solves store each x-degree's y-polynomial packed into a single
-  big integer (fixed bit width per y-coefficient), so polynomial arithmetic
-  rides on CPython's big-integer multiply.  The solver picks the width
-  itself from a one-unknown majorant system (see _majorant), solved first as
-  a univariate series, and re-checks every coefficient against it when the
-  result is unpacked.  The target, a sum of distinct unknowns, is added up
-  on the packed rows and unpacked once.
+* coefficients are packed into big integers at a fixed slot width, so
+  one CPython big-integer multiply does the work of many.  The solver
+  picks the width itself from a one-unknown majorant system (see
+  _majorant), solved once per distinct majorant and order, and re-checks
+  every coefficient of the result against it.  A bivariate solve stores each
+  x-degree's y-polynomial as one integer; the target, a sum of distinct
+  unknowns, is added up on the packed rows and unpacked once.  A
+  univariate solve groups its degree-2 products by a shared operand and
+  packs the partners' rows side by side, so one convolution of the packed
+  row with the shared operand yields every product of the group, one per
+  slot.  The slots cannot carry: each product enters, with a positive
+  coefficient, an equation whose other terms are nonnegative, so it is at
+  most that unknown's coefficient, which the majorant bounds.  Bivariate
+  products stay one per group, since a slot would have to hold a whole
+  y-polynomial of unknown degree, and so do the chain nodes (partial
+  products of three or more factors), which the majorant does not bound:
+  for S = x + x*S^3, (S^2)[2] = 1 > S[2] = 0.
 """
 
 from __future__ import annotations
+
+import heapq
+from functools import lru_cache
+from operator import mul
 
 try:
     from gmpy2 import mpz as _bigint
@@ -189,11 +203,14 @@ def _compile_plan(system: AlgebraicSystem):
     creation order: sum nodes (linear combinations, updated after the
     unknowns each degree) and chain nodes (partial products for monomials
     with three or more factors, updated before the unknowns each degree).
+    Products are numbered once across all equations by (shift, operands),
+    so a product two equations share is convolved once.
     """
     n_unknowns = system.n_unknowns
     nodes: list[tuple[str, tuple]] = []
     sum_ids: dict[tuple[int, ...], int] = {}
     chain_ids: dict[tuple[int, int], int] = {}
+    products: dict[tuple[int, int, int], int] = {}
 
     def sum_node(members: tuple[int, ...]) -> int:
         if len(members) == 1:
@@ -210,10 +227,14 @@ def _compile_plan(system: AlgebraicSystem):
             nodes.append(("chain", key))
         return chain_ids[key]
 
+    def product(a: int, left: int, right: int) -> int:
+        # the convolution slice is symmetric in its operands
+        return products.setdefault((a, min(left, right), max(left, right)), len(products))
+
     # instruction tuples, per equation:
     #   ("const", a, b, coeff)
-    #   ("term",  a, b, coeff, src)           -- read an unknown's or a chain node's slice
-    #   ("prod",  a, b, coeff, left, right)   -- convolution slice of two series
+    #   ("term",  a, b, coeff, src)     -- read an unknown's or a chain node's slice
+    #   ("prod",  a, b, coeff, p)       -- read product p's convolution slice
     plans: list[list[tuple]] = []
     for eq in system.equations:
         instrs: list[tuple] = []
@@ -229,7 +250,7 @@ def _compile_plan(system: AlgebraicSystem):
             elif k == 2 and m.coeff == 1:
                 quads.setdefault((a, b), []).append((m.factors[0], m.factors[1]))
             elif k == 2:
-                instrs.append(("prod", a, b, m.coeff, m.factors[0], m.factors[1]))
+                instrs.append(("prod", a, b, m.coeff, product(a, *m.factors)))
             else:
                 node = m.factors[0]
                 for f in m.factors[1:-1]:
@@ -246,9 +267,47 @@ def _compile_plan(system: AlgebraicSystem):
             for cols, row_members in sorted(by_cols.items()):
                 left = sum_node(tuple(sorted(row_members)))
                 right = sum_node(cols)
-                instrs.append(("prod", a, b, 1, left, right))
+                instrs.append(("prod", a, b, 1, product(a, left, right)))
         plans.append(instrs)
-    return plans, nodes
+    return plans, nodes, list(products)
+
+
+def _group_products(products: list[tuple[int, int, int]], shared: bool):
+    """Cover the products (a, left, right) by groups (a, operand, members)
+    whose members [(partner, product index), ...] all convolve one operand
+    at one shift a.
+
+    With shared off every product is a group of its own.  With shared on,
+    the (operand, a) that occurs in the most remaining products takes them
+    all, until none remain: a greedy vertex cover of the product graph,
+    deterministic for a given plan.
+    """
+    if not shared:
+        return [(a, right, [(left, p)]) for p, (a, left, right) in enumerate(products)]
+    incident: dict[tuple[int, int], list[int]] = {}
+    for p, (a, left, right) in enumerate(products):
+        incident.setdefault((left, a), []).append(p)
+        if right != left:
+            incident.setdefault((right, a), []).append(p)
+    heap = [(-len(ps), vertex) for vertex, ps in incident.items()]
+    heapq.heapify(heap)
+    taken = [False] * len(products)
+    groups = []
+    while heap:
+        count, vertex = heapq.heappop(heap)
+        live = [p for p in incident[vertex] if not taken[p]]
+        if len(live) < -count:  # stale entry: requeue at its current count
+            if live:
+                heapq.heappush(heap, (-len(live), vertex))
+            continue
+        operand, a = vertex
+        members = []
+        for p in live:
+            taken[p] = True
+            _, left, right = products[p]
+            members.append((right if left == operand else left, p))
+        groups.append((a, operand, members))
+    return groups
 
 
 def _majorant(system: AlgebraicSystem) -> AlgebraicSystem:
@@ -282,51 +341,122 @@ def _majorant(system: AlgebraicSystem) -> AlgebraicSystem:
     )
 
 
+@lru_cache(maxsize=64)
+def _ceiling(monomials: tuple[Monomial, ...], order: int) -> tuple[int, ...]:
+    """Coefficients to the given order of the one-unknown majorant whose
+    equation is S = sum of the monomials.  Every binary pattern system has
+    the same majorant, so a sweep solves it once per order."""
+    majorant = AlgebraicSystem(weight_vars=("x",), unknowns=("S",),
+                               equations=(monomials,), target=(0,))
+    majorant.validate_proper()
+    return tuple(int(c) for c in _solve(majorant, order, 0)[1])
+
+
 def solve_truncated(system: AlgebraicSystem, order: int, *,
                     include_unknowns: bool = True):
     """Solve the system as truncated series up to the given order.
 
     Returns (solutions, target): a name -> TruncatedSeries mapping (None when
     include_unknowns is false) and the target series, the sum of the target
-    unknowns.  Bivariate systems run on packed integers whose slot width
-    comes from the majorant system's largest coefficient; every unpacked
-    coefficient is checked against the majorant at its own degree, and
-    ArithmeticError is raised on a breach.
+    unknowns.  The solver packs several coefficients into one integer (the
+    partners of a shared operand in a univariate system, the y-polynomial
+    of each x-degree in a bivariate one) at a slot width taken from the
+    majorant system's largest coefficient.  Every coefficient of the
+    result, univariate or bivariate, is checked against the majorant at its
+    own degree, and ArithmeticError is raised on a breach.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
     system.validate_proper()
-    nvars = len(system.weight_vars)
-    if nvars == 1:
-        width = 0
-    else:
-        _, majorant = solve_truncated(_majorant(system), order, include_unknowns=False)
-        ceiling = majorant.dense_coefficients()
-        # spare bits keep a coefficient that breaks the bound in its own slot,
-        # where the unpack check sees it, instead of carrying into the next
-        width = max(ceiling).bit_length() + 4
+    ceiling = _ceiling(_majorant(system).equations[0], order)
+    # spare bits keep a coefficient that breaks the bound in its own slot,
+    # where a check sees it, instead of carrying into the next
+    width = max(ceiling).bit_length() + 4
+    rows, target = _solve(system, order, width)
+    variables = tuple(system.weight_vars)
+    mask = (1 << width) - 1
 
-    plans, nodes = _compile_plan(system)
+    def checked(n: int, c) -> int:
+        if c > ceiling[n]:
+            raise ArithmeticError(
+                f"coefficient at degree {n} exceeds the majorant bound {ceiling[n]}"
+            )
+        return int(c)
+
+    def unpack(row: list) -> TruncatedSeries:
+        if len(variables) == 1:
+            return TruncatedSeries(variables, order,
+                                   dense=tuple(checked(n, v) for n, v in enumerate(row)))
+        coeffs: dict[tuple[int, int], int] = {}
+        for n, v in enumerate(row):
+            yk = 0
+            while v:
+                c = v & mask
+                if c:
+                    coeffs[(n, yk)] = checked(n, c)
+                v >>= width
+                yk += 1
+        return TruncatedSeries(variables, order, sparse=coeffs)
+
+    solutions = None
+    if include_unknowns:
+        solutions = {name: unpack(rows[i]) for i, name in enumerate(system.unknowns)}
+    return solutions, unpack(target)
+
+
+def _solve(system: AlgebraicSystem, order: int, width: int):
+    """The coefficient rows of the unknowns and of the target, degree by degree.
+
+    Slots are width bits wide.  A bivariate system packs each y-polynomial
+    into one integer.  A univariate system groups its products by a shared
+    operand, packs the partners' rows side by side, and reads every
+    product of a group off the slots of one convolution; width 0 (the
+    majorant itself) keeps every product on its own.
+    """
+    plans, nodes, products = _compile_plan(system)
+    groups = _group_products(products, shared=len(system.weight_vars) == 1 and width > 0)
     n_unknowns = system.n_unknowns
     n_series = n_unknowns + len(nodes)
 
     zero = _bigint(0)
     store = [[zero] * (order + 1) for _ in range(n_series)]
+    value = [zero] * len(products)  # each product's slice at the current degree
 
     chain_nodes = [(n_unknowns + i, spec) for i, (kind, spec) in enumerate(nodes) if kind == "chain"]
-    sum_nodes = [(n_unknowns + i, spec) for i, (kind, spec) in enumerate(nodes) if kind == "sum"]
+    sum_rows = [(store[n_unknowns + i], [store[m] for m in spec])
+                for i, (kind, spec) in enumerate(nodes) if kind == "sum"]
+    # a group of one convolves its partner's own row; a larger one a packed row
+    # holding its partners' coefficients side by side, width bits apart
+    singles, multis = [], []
+    for a, operand, members in groups:
+        if len(members) == 1:
+            ((partner, p),) = members
+            singles.append((a, store[partner], store[operand], p))
+        else:
+            multis.append((a, [zero] * (order + 1), store[operand], [p for _, p in members],
+                           [store[partner] for partner, _ in members]))
+    mask = (1 << width) - 1
 
     def conv_slice(L, R, m):
-        if m < 2:
-            return 0
-        s = 0
-        for a, b in zip(L[1:m], R[m - 1:0:-1]):
-            s += a * b
-        return s
+        return sum(map(mul, L[1:m], R[m - 1:0:-1]))
 
     for n in range(1, order + 1):
         for cid, (left, right) in chain_nodes:
             store[cid][n] = conv_slice(store[left], store[right], n)
+        for a, row, other, p in singles:
+            if n - a >= 2:
+                value[p] = conv_slice(row, other, n - a)
+        for a, row, other, ps, _ in multis:
+            if n - a >= 2:
+                c = conv_slice(row, other, n - a)
+                for p in ps:
+                    value[p] = c & mask
+                    c >>= width
+                if c:
+                    raise ArithmeticError(
+                        f"a shared-factor convolution at degree {n} overflows its "
+                        f"{width}-bit slots"
+                    )
         for ui in range(n_unknowns):
             acc = zero
             for instr in plans[ui]:
@@ -339,41 +469,20 @@ def solve_truncated(system: AlgebraicSystem, order: int, *,
                     _, a, b, coeff, src = instr
                     if n >= a:
                         acc += (coeff * store[src][n - a]) << (b * width)
-                else:  # prod
-                    _, a, b, coeff, left, right = instr
-                    if n - a >= 2:
-                        acc += (coeff * conv_slice(store[left], store[right], n - a)) << (b * width)
+                else:  # prod; a product's slice is zero until n - a >= 2
+                    _, a, b, coeff, p = instr
+                    acc += (coeff * value[p]) << (b * width)
             store[ui][n] = acc
-        for sid, members in sum_nodes:
-            store[sid][n] = sum(store[mdx][n] for mdx in members)
+        for row, member_rows in sum_rows:
+            row[n] = sum([r[n] for r in member_rows])
+        for _, row, _, _, partner_rows in multis:
+            v = zero
+            for j, prow in enumerate(partner_rows):
+                v += prow[n] << (j * width)
+            row[n] = v
 
-    def unpack(row: list) -> TruncatedSeries:
-        if nvars == 1:
-            return TruncatedSeries((system.weight_vars[0],), order,
-                                   dense=tuple(int(v) for v in row))
-        coeffs: dict[tuple[int, int], int] = {}
-        mask = (1 << width) - 1
-        for n, v in enumerate(row):
-            yk = 0
-            while v:
-                c = v & mask
-                if c:
-                    if c > ceiling[n]:
-                        raise ArithmeticError(
-                            f"packed coefficient at degree {n} exceeds the majorant "
-                            f"bound {ceiling[n]}"
-                        )
-                    coeffs[(n, yk)] = int(c)
-                v >>= width
-                yk += 1
-        return TruncatedSeries(tuple(system.weight_vars), order, sparse=coeffs)
-
-    target = unpack([sum((store[ui][n] for ui in system.target), zero)
-                     for n in range(order + 1)])
-    solutions = None
-    if include_unknowns:
-        solutions = {name: unpack(store[i]) for i, name in enumerate(system.unknowns)}
-    return solutions, target
+    return store[:n_unknowns], [sum((store[ui][n] for ui in system.target), zero)
+                                for n in range(order + 1)]
 
 
 def verify_solution(system: AlgebraicSystem, solutions: dict[str, TruncatedSeries],

@@ -120,9 +120,12 @@ def default_workers() -> int:
     env = os.environ.get("TREEWILF_WORKERS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise ValueError(f"TREEWILF_WORKERS must be an integer, got {env!r}") from None
+        if workers < 1:
+            raise ValueError(f"TREEWILF_WORKERS must be at least 1, got {env!r}")
+        return workers
     return os.cpu_count() or 1
 
 
@@ -142,6 +145,8 @@ def _sweep(n_leaves: int, orders: list[int], mode: str, workers: int, progress,
         raise ValueError("patterns need at least 2 leaves")
     if mode not in ("av", "en"):
         raise ValueError(f"unknown mode {mode!r}")
+    if min(orders) < 1:
+        raise ValueError(f"truncation orders must be >= 1, got {min(orders)}")
     patterns = [emit_polish(t) for t in enumerate_binary_patterns(n_leaves)]
     rep_of = {w: min(w, _mirror_word(w)) if mirror_reduce else w for w in patterns}
     jobs = [(w, orders, mode) for w in sorted(set(rep_of.values()))]

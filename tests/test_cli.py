@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from treewilf import cli
 from treewilf.cli import main
 
 
@@ -207,6 +208,39 @@ class TestUsageErrors:
         code, _, err = run(capsys, command, option, "m" * 1200 + "x" * 1201)
         assert code == 3
         assert err.startswith("resource bound exceeded:")
+
+    def test_order_too_large_to_allocate(self, capsys):
+        code, out, err = run(capsys, "series", "--pattern", "mxx", "-K", "99999999999999999999")
+        assert code == 3
+        assert out == "" and err.startswith("resource bound exceeded:")
+
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        def exhausted(pattern, order):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "av_series", exhausted)
+        code, _, err = run(capsys, "series", "--pattern", "mxx", "-K", "1000000000")
+        assert code == 3
+        assert err == "resource bound exceeded: MemoryError\n"
+
+    @pytest.mark.parametrize("flag", ["--max-len", "--max-leaves", "--max-nodes"])
+    def test_negative_verify_bound(self, capsys, flag):
+        code, out, err = run(capsys, "verify", "--suite", "grammar", f"{flag}=-2")
+        assert code == 1
+        assert out == "" and err == f"error: {flag} must be at least 0, got -2\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_one(self, capsys, workers):
+        code, out, err = run(capsys, "classify", "-n", "3", "--quiet", "--workers", workers)
+        assert code == 1
+        assert out == "" and err == f"error: --workers must be at least 1, got {workers}\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_environment_below_one(self, capsys, monkeypatch, workers):
+        monkeypatch.setenv("TREEWILF_WORKERS", workers)
+        code, out, err = run(capsys, "classify", "-n", "3", "--quiet")
+        assert code == 1
+        assert out == "" and err == f"error: TREEWILF_WORKERS must be at least 1, got '{workers}'\n"
 
     def test_unknown_command_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,10 +2,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from treewilf import series
 from treewilf.grammar import build_grammar
 from treewilf.oracle import brute_histogram, count_avoiders, enumerate_trees
 from treewilf.series import (
     TruncatedSeries,
+    _ceiling,
+    _compile_plan,
+    _group_products,
     _majorant,
     av_series,
     en_series,
@@ -14,7 +18,7 @@ from treewilf.series import (
     to_operad_series,
     verify_solution,
 )
-from treewilf.systems import cs_system, enumeration_system, stamp_system
+from treewilf.systems import AlgebraicSystem, Monomial, cs_system, enumeration_system, stamp_system
 from treewilf.trees import (
     Alphabet,
     PatternSet,
@@ -163,6 +167,61 @@ class TestSolver:
             system = enumeration_system(pattern, leaf_weights=True)
             _, s = solve_truncated(_majorant(system), 12)
             assert s.dense_coefficients() == tuple([0] + [catalan(n - 1) for n in range(1, 13)])
+
+    @pytest.mark.parametrize("word", ["mmxmxxx", "mmmxxxx"])
+    def test_shared_factors_with_vertex_weights(self, word):
+        # vertex weights put internal nodes at shift a = 1, so the grouped
+        # products convolve at n - 1 rather than at n as with leaf weights
+        pattern = parse_polish(word, BIN)
+        system = enumeration_system(pattern, marked=False)
+        _, _, products = _compile_plan(system)
+        assert any(a == 1 for a, _, _ in products)
+        assert any(len(members) > 1 for _, _, members in _group_products(products, shared=True))
+        sol, target = solve_truncated(system, 15)
+        assert verify_solution(system, sol, 15)
+        expected = count_avoiders(BIN, PatternSet(BIN, (pattern,)), 7)
+        assert [target.coefficient(n) for n in range(16)] == [expected.get(n, 0) for n in range(16)]
+
+    def test_shared_factors_beside_chain_nodes(self):
+        # the mixed ternary set of test_packed_ring_chain_nodes with one weight
+        # variable: 3-factor monomials run through chain nodes, which stay
+        # outside the groups, while the binary products are grouped
+        ps = PatternSet(MIXED, (parse_polish("mmxxx", MIXED), parse_polish("wxmxxx", MIXED)))
+        system = cs_system(build_grammar(MIXED, ps))
+        assert any(len(m.factors) == 3 for eq in system.equations for m in eq)
+        _, _, products = _compile_plan(system)
+        assert any(len(members) > 1 for _, _, members in _group_products(products, shared=True))
+        sol, target = solve_truncated(system, 13)
+        assert verify_solution(system, sol, 13)
+        expected = count_avoiders(MIXED, ps, 4)
+        assert {n: c for (n,), c in target.nonzero_items() if n <= 10} == {
+            n: c for n, c in expected.items() if n <= 10}
+
+    @pytest.mark.parametrize("words", [[], ["mmxxmxx"], ["mxmxmxx"]])
+    def test_groups_cover_each_product_once(self, words):
+        system = cs_system(build_grammar(BIN, PatternSet.from_words(words)))
+        _, _, products = _compile_plan(system)
+        groups = _group_products(products, shared=True)
+        covered = sorted(p for _, _, members in groups for _, p in members)
+        assert covered == list(range(len(products)))
+        for a, operand, members in groups:
+            for partner, p in members:
+                assert products[p] == (a, min(operand, partner), max(operand, partner))
+
+    def test_univariate_target_checked_against_majorant(self, monkeypatch):
+        # S = x bounds nothing past degree 1, so the solve must refuse
+        too_small = AlgebraicSystem(weight_vars=("x",), unknowns=("S",),
+                                    equations=((Monomial(1, (1,), ()),),), target=(0,))
+        monkeypatch.setattr(series, "_majorant", lambda system: too_small)
+        system = cs_system(build_grammar(BIN, PatternSet(BIN, ())))
+        with pytest.raises(ArithmeticError):
+            solve_truncated(system, 9)
+
+    def test_majorant_solved_once_per_order(self):
+        _ceiling.cache_clear()
+        for pattern in enumerate_binary_patterns(4):
+            av_series(pattern, 41)
+        assert _ceiling.cache_info().misses == 1
 
     @pytest.mark.parametrize("system", [
         enumeration_system(parse_polish("mxmxmxx", BIN)),

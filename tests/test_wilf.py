@@ -153,6 +153,8 @@ class TestStabilization:
             stabilization_scan(4, [40, 20], "av")
         with pytest.raises(ValueError):
             stabilization_scan(4, [], "av")
+        with pytest.raises(ValueError, match="orders must be >= 1"):
+            stabilization_scan(4, [0])
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode 'bogus'"):
