@@ -15,9 +15,15 @@ from . import verify
 from .elim import EliminationBoundError, EliminationError, annihilates, eliminate
 from .grammar import GrammarSizeError, build_grammar
 from .series import av_series, en_series, solve_truncated, to_operad_series
-from .systems import SystemSizeError, cs_system, enumeration_system, stamp_system
-from .trees import Alphabet, ParseError, PatternSet, Tree, parse_polish
-from .wilf import classify, default_workers
+from .systems import (
+    SystemSizeError,
+    cs_system,
+    enumeration_system,
+    occurrence_state_count,
+    stamp_system,
+)
+from .trees import Alphabet, ParseError, PatternSet, Tree, emit_polish, height, mirror, parse_polish
+from .wilf import CSV_HEADER, classify, default_workers, stabilization_scan
 
 
 class ValidationError(ValueError):
@@ -75,9 +81,12 @@ def _patterns(args, alphabet: Alphabet) -> PatternSet:
 
 def _single_pattern(word: str, alphabet: Alphabet) -> Tree:
     try:
-        return parse_polish(word, alphabet)
+        pattern = parse_polish(word, alphabet)
     except ParseError as exc:
         raise ValidationError(f"pattern {word!r}: {exc}") from exc
+    if pattern.is_free_end():
+        raise ValidationError("the bare free end is degenerate: every tree contains it")
+    return pattern
 
 
 def _at_least(minimum: int, args, *flags: str) -> None:
@@ -85,6 +94,11 @@ def _at_least(minimum: int, args, *flags: str) -> None:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))
         if value is not None and value < minimum:
             raise ValidationError(f"{flag} must be at least {minimum}, got {value}")
+
+
+def _workers(args) -> int:
+    _at_least(1, args, "--workers")
+    return args.workers if args.workers is not None else default_workers()
 
 
 def _progress(label: str):
@@ -100,7 +114,7 @@ def _progress(label: str):
 
 
 def cmd_classify(args) -> int:
-    _at_least(1, args, "--workers")
+    workers = _workers(args)
     if args.leaves >= 10 and not args.deep:
         raise ValidationError(
             f"n={args.leaves} sweeps Catalan({args.leaves - 1}) patterns and runs for a long "
@@ -108,7 +122,7 @@ def cmd_classify(args) -> int:
         )
     report = classify(
         args.leaves, args.order, args.mode,
-        workers=args.workers if args.workers is not None else default_workers(),
+        workers=workers,
         mirror_reduce=not args.verify_mirror,
         progress=_progress(f"classify n={args.leaves} {args.mode}") if not args.quiet else None,
     )
@@ -123,11 +137,56 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def cmd_stabilize(args) -> int:
+    workers = _workers(args)
+    try:
+        orders = sorted(int(k) for k in args.orders.split(","))
+    except ValueError:
+        raise ValidationError(
+            f"--orders must be comma-separated integers, got {args.orders!r}") from None
+    scan = stabilization_scan(args.leaves, orders, args.mode, workers=workers)
+    for k in orders:
+        print(f"n={args.leaves} mode={args.mode} K={k} classes={scan[k]}")
+    if len({scan[k] for k in orders[-2:]}) == 1:
+        print("stable over the last two orders", file=sys.stderr)
+    else:
+        print("still moving at the top order; extend the ladder", file=sys.stderr)
+    return 0
+
+
+def cmd_inspect(args) -> int:
+    alphabet = Alphabet.binary()
+    pattern = _single_pattern(args.pattern, alphabet)
+    print(f"pattern        {emit_polish(pattern)}")
+    print(f"height         {height(pattern)}")
+    print(f"mirror         {emit_polish(mirror(pattern))}")
+    print(f"solver states  {occurrence_state_count(pattern)}")
+
+    av = av_series(pattern, 25)
+    print(f"avoidance      {av.serialize()}")
+    print(f"arity series   {to_operad_series(av).serialize()}")
+    print(f"occurrences    {en_series(pattern, 13).serialize()}")
+
+    system = cs_system(build_grammar(alphabet, PatternSet(alphabet, (pattern,))))
+    print(f"grammar system {system.n_unknowns} unknowns")
+    ok = True
+    try:
+        poly = eliminate(system, max_unknowns=18, deadline_seconds=30)
+    except EliminationError as exc:
+        print(f"annihilator    skipped ({exc})")
+    else:
+        _, target = solve_truncated(system, 60)
+        ok = annihilates(poly, target, 60)
+        tag = "verified" if ok else "NOT ANNIHILATING (bug)"
+        print(f"annihilator    {poly.pretty()}   [{tag}]")
+    print()
+    print(enumeration_system(pattern).to_text())
+    return 0 if ok else 2
+
+
 def cmd_series(args) -> int:
     alphabet = Alphabet.binary()
     pattern = _single_pattern(args.pattern, alphabet)
-    if pattern.is_free_end():
-        raise ValidationError("the bare free end is degenerate: every tree contains it")
     if args.kind == "av":
         out = av_series(pattern, args.order)
     elif args.kind == "en":
@@ -175,7 +234,8 @@ def cmd_eliminate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _at_least(0, args, "--max-len", "--max-leaves", "--max-nodes")
+    _at_least(1, args, "--max-len")
+    _at_least(0, args, "--max-leaves", "--max-nodes")
 
     def pattern_set() -> tuple[Alphabet, PatternSet]:
         alphabet = _alphabet(args)
@@ -222,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (default: TREEWILF_WORKERS, else the CPU count)")
     p.add_argument("--out", default=None, help="write the JSON report here")
-    p.add_argument("--csv", default=None, help="append a CSV summary row here")
+    p.add_argument("--csv", default=None,
+                   help=f"append a CSV summary row here (columns {CSV_HEADER})")
     p.add_argument("--verify-mirror", action="store_true",
                    help="solve every pattern instead of one per mirror pair, and check "
                         "that each mirror pair shares a class")
@@ -230,6 +291,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allow the hours-scale sweeps (10 or more leaves)")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_classify)
+
+    p = sub.add_parser("stabilize",
+                       help="class count per truncation order, one solve per pattern")
+    p.add_argument("-n", "--leaves", type=int, required=True)
+    p.add_argument("--orders", default="16,32,64,128,257",
+                   help="comma-separated truncation orders")
+    p.add_argument("--mode", choices=("av", "en"), default="av")
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes (default: TREEWILF_WORKERS, else the CPU count)")
+    p.set_defaults(func=cmd_stabilize)
+
+    p = sub.add_parser("inspect",
+                       help="series, systems and annihilating polynomial of one binary pattern")
+    p.add_argument("--pattern", required=True)
+    p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("series", help="print a pattern's series in canonical form")
     p.add_argument("--pattern", required=True)

@@ -12,16 +12,15 @@ on packing or in a product, raises EliminationBoundError instead of carrying
 into the next field.  Exact division tests that every field of a quotient
 monomial is nonnegative with one guard-bit subtraction.
 
-Exponent tuples appear only at the boundary: system_polynomials,
-BivarPoly.terms and the tuple-keyed entry points mp_resultant and mp_degree;
-eliminate packs once on entry and unpacks its result once.  BivarPoly is an
-immutable polynomial in (G, x), and a content in Z[x] packs to keys equal to
-its x-exponents.  All arithmetic is over the integers: divisions inside the
-subresultant remainder sequence and by a content are exact by construction
-and checked.  The resultant of two polynomials lies in the ideal they
-generate, so every polynomial produced by eliminate vanishes on any common
-solution of the system; the annihilation test makes that checkable against
-solved series.
+Exponent tuples appear only at the boundary, system_polynomials and
+BivarPoly.terms; eliminate packs once on entry and unpacks its result once.
+BivarPoly is an immutable polynomial in (G, x), and a content in Z[x] packs
+to keys equal to its x-exponents.  All arithmetic is over the integers:
+divisions inside the subresultant remainder sequence and by a content are
+exact by construction and checked.  The resultant of two polynomials lies in
+the ideal they generate, so every polynomial produced by eliminate vanishes
+on any common solution of the system; the annihilation test makes that
+checkable against solved series.
 """
 
 from __future__ import annotations
@@ -292,25 +291,6 @@ def univariate_gcd(p: MPoly, q: MPoly) -> MPoly:
         q = pk_primitive(q)
         p, q = q, X_RING.prem(p, q, 0)
     return pk_scale(p, c)
-
-
-# -- tuple-keyed entry points ---------------------------------------------------------
-
-
-def mp_degree(p: dict[Exps, int], var: int) -> int:
-    """Degree in var of a polynomial keyed by exponent tuples; -1 for zero."""
-    if not p:
-        return -1
-    ring = PackedRing(len(next(iter(p))))
-    return ring.degree(ring.pack(p), var)
-
-
-def mp_resultant(p: dict[Exps, int], q: dict[Exps, int], var: int) -> dict[Exps, int]:
-    """Resultant with respect to var of two polynomials keyed by exponent tuples."""
-    if not p or not q:
-        return {}
-    ring = PackedRing(len(next(iter(p))))
-    return ring.unpack(ring.resultant(ring.pack(p), ring.pack(q), var))
 
 
 # -- bivariate polynomials in (G, x) ----------------------------------------------

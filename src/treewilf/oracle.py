@@ -99,16 +99,6 @@ class OccurrenceHistogram:
     def count(self, n_vertices: int, k_occurrences: int) -> int:
         return self.entries.get((n_vertices, k_occurrences), 0)
 
-    def marginal_avoiders(self) -> dict[int, int]:
-        """Slice at zero occurrences: vertex count -> number of avoiding trees."""
-        return {n: c for (n, k), c in self.entries.items() if k == 0}
-
-    def totals_by_vertices(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for (n, _), c in self.entries.items():
-            out[n] = out.get(n, 0) + c
-        return out
-
 
 def brute_histogram(alphabet: Alphabet, pattern: Tree, max_internal: int) -> OccurrenceHistogram:
     """Count occurrences of pattern in every tree with at most max_internal internal nodes."""

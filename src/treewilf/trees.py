@@ -161,12 +161,6 @@ def vertex_count(tree: Tree) -> int:
     return 1 + sum(vertex_count(c) for c in tree.children)
 
 
-def internal_count(tree: Tree) -> int:
-    if tree.is_free_end():
-        return 0
-    return 1 + sum(internal_count(c) for c in tree.children)
-
-
 def free_end_count(tree: Tree) -> int:
     if tree.is_free_end():
         return 1

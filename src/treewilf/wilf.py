@@ -228,12 +228,3 @@ def stabilization_scan(n_leaves: int, orders: list[int], mode: str = "av", *,
         raise ValueError("orders must be a nondecreasing nonempty list")
     _, keys = _sweep(n_leaves, list(orders), mode, workers, progress)
     return {k: len(ks) for k, ks in zip(orders, keys)}
-
-
-def cross_check_en_vs_av(n_leaves: int, order: int = 257, *,
-                         workers: int = 1, progress=None) -> bool:
-    """True iff the avoidance-series partition and the occurrence-series
-    partition of the n-leaf patterns coincide at this truncation order."""
-    av = classify(n_leaves, order, "av", workers=workers, progress=progress)
-    en = classify(n_leaves, order, "en", workers=workers, progress=progress)
-    return av.partition() == en.partition()

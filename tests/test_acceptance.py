@@ -26,7 +26,7 @@ from treewilf.trees import (
     enumerate_binary_patterns,
     parse_polish,
 )
-from treewilf.wilf import classify, cross_check_en_vs_av, default_workers
+from treewilf.wilf import classify, default_workers
 
 BIN = Alphabet.binary()
 MIXED = Alphabet(labels=(("m", 2), ("w", 3), ("x", 0)), free_end="x")
@@ -82,7 +82,6 @@ def test_04_nine_leaf_lower_bounds():
 def test_05_enumeration_equivalence_cross_check():
     for n in range(2, 9):
         assert report(n, "av").partition() == report(n, "en").partition(), n
-    assert cross_check_en_vs_av(4, ORDER, workers=WORKERS)
     ok("5 cross-check", f"avoidance and occurrence partitions agree for n=2..8 at K={ORDER}")
 
 

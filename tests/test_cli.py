@@ -1,9 +1,16 @@
+import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from treewilf import cli
 from treewilf.cli import main
+from treewilf.elim import EliminationError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -147,6 +154,59 @@ class TestClassifyCommand:
         assert "--deep" in err
 
 
+class TestStabilizeCommand:
+    # counts listed by ascending order, the order of the output lines
+    @pytest.mark.parametrize("argv, prefix, counts, verdict", [
+        ("-n 6 --orders 12,24,48,96", "n=6 mode=av", {12: 1, 24: 7, 48: 7, 96: 7},
+         "stable over the last two orders"),
+        ("-n 5 --orders 40,10,20 --mode en", "n=5 mode=en", {10: 1, 20: 3, 40: 3},
+         "stable over the last two orders"),
+        ("-n 6 --orders 24,12", "n=6 mode=av", {12: 1, 24: 7},
+         "still moving at the top order; extend the ladder"),
+    ])
+    def test_ladder(self, capsys, monkeypatch, argv, prefix, counts, verdict):
+        monkeypatch.setenv("TREEWILF_WORKERS", "1")
+        code, out, err = run(capsys, "stabilize", *argv.split())
+        assert code == 0
+        assert out.splitlines() == [f"{prefix} K={k} classes={c}" for k, c in counts.items()]
+        assert err == verdict + "\n"
+
+    def test_bad_workers_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("TREEWILF_WORKERS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["stabilize", "--help"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, "stabilize", "-n", "2")
+        assert code == 1
+        assert out == "" and err == "error: TREEWILF_WORKERS must be an integer, got 'abc'\n"
+
+
+class TestInspectCommand:
+    def test_report_bytes(self, capsys):
+        code, out, err = run(capsys, "inspect", "--pattern", "mmxxx")
+        assert code == 0 and err == ""
+        assert "annihilator    (1*x) + (-1 + 1*x^2)*G   [verified]" in out.splitlines()
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "700eab692a0f590b10c98670f2c0c870aa1cdb8bf30aaa88b570468aac495025")
+
+    def test_elimination_failure_is_skipped(self, capsys, monkeypatch):
+        def vanished(system, **kwargs):
+            raise EliminationError("resultant vanished while eliminating unknown 0")
+
+        monkeypatch.setattr(cli, "eliminate", vanished)
+        code, out, _ = run(capsys, "inspect", "--pattern", "mmxxx")
+        assert code == 0
+        assert "annihilator    skipped (resultant vanished while eliminating unknown 0)" in out
+        assert out.rstrip().endswith("target = C[mmxxx|mxx|x] + C[mxx|x] + C[x]")
+
+    def test_failed_self_check_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "annihilates", lambda poly, series, order: False)
+        code, out, _ = run(capsys, "inspect", "--pattern", "mmxxx")
+        assert code == 2
+        assert "annihilator    (1*x) + (-1 + 1*x^2)*G   [NOT ANNIHILATING (bug)]" in out
+
+
 class TestVerifyCommand:
     def test_eq12(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "eq12")
@@ -223,11 +283,36 @@ class TestUsageErrors:
         assert code == 3
         assert err == "resource bound exceeded: MemoryError\n"
 
-    @pytest.mark.parametrize("flag", ["--max-len", "--max-leaves", "--max-nodes"])
-    def test_negative_verify_bound(self, capsys, flag):
-        code, out, err = run(capsys, "verify", "--suite", "grammar", f"{flag}=-2")
+    @pytest.mark.parametrize("flag, value, minimum", [
+        pytest.param("--max-len", -2, 1, id="--max-len"),
+        pytest.param("--max-len", 0, 1, id="--max-len=0"),
+        pytest.param("--max-leaves", -2, 0, id="--max-leaves"),
+        pytest.param("--max-nodes", -2, 0, id="--max-nodes"),
+    ])
+    def test_negative_verify_bound(self, capsys, flag, value, minimum):
+        code, out, err = run(capsys, "verify", "--suite", "grammar", f"{flag}={value}")
         assert code == 1
-        assert out == "" and err == f"error: {flag} must be at least 0, got -2\n"
+        assert out == "" and err == f"error: {flag} must be at least {minimum}, got {value}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["stabilize", "-n", "1"], "at least 2 leaves"),
+        (["stabilize", "-n", "4", "--orders", "abc"], "--orders"),
+        (["stabilize", "-n", "4", "--orders", "0"], "orders must be >= 1"),
+        (["classify", "-n", "1", "--quiet"], "at least 2 leaves"),
+        (["stabilize", "-n", "4", "--mode", "bogus"], "--mode"),
+        (["inspect", "--pattern", "mmx"], "'mmx'"),
+    ], ids=["stabilize-leaves", "orders-abc", "orders-0", "classify-leaves", "mode", "inspect"])
+    def test_one_error_line(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setenv("TREEWILF_WORKERS", "1")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0]
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("workers", ["0", "-5"])
     def test_workers_below_one(self, capsys, workers):
@@ -253,10 +338,26 @@ class TestUsageErrors:
 
     def test_bad_workers_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("TREEWILF_WORKERS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--help"])
+        assert exc.value.code == 0
+        capsys.readouterr()
         code, _, err = run(capsys, "classify", "-n", "3", "--quiet")
         assert code == 1
-        assert err.startswith("error: ") and "TREEWILF_WORKERS" in err
+        assert err == "error: TREEWILF_WORKERS must be an integer, got 'abc'\n"
         # only classify reads the variable
         code, out, _ = run(capsys, "series", "--pattern", "mxx")
         assert code == 0
         assert out.startswith("v=x;")
+
+
+def test_readme_commands_parse():
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = [line for b in blocks for line in b.splitlines() if line.startswith("treewilf ")]
+    assert {shlex.split(line)[1] for line in lines} >= {"classify", "stabilize", "inspect"}
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

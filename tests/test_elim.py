@@ -17,8 +17,6 @@ from treewilf.elim import (
     annihilates,
     collapse_certificate,
     eliminate,
-    mp_degree,
-    mp_resultant,
     poly_divides,
 )
 from treewilf.grammar import build_grammar
@@ -43,24 +41,27 @@ def geometric_system():
 class TestResultant:
     def test_univariate_known_values(self):
         # res_x(x^2 - 2, x - 3) = 7;  res_x(x^2 + 1, x^2 - 1) = 4
-        a = {(2, 0): 1, (0, 0): -2}
-        b = {(1, 0): 1, (0, 0): -3}
-        assert mp_resultant(a, b, 0) == {(0, 0): 7}
-        c = {(2, 0): 1, (0, 0): 1}
-        d = {(2, 0): 1, (0, 0): -1}
-        assert mp_resultant(c, d, 0) == {(0, 0): 4}
+        ring = PackedRing(2)
+        a = ring.pack({(2, 0): 1, (0, 0): -2})
+        b = ring.pack({(1, 0): 1, (0, 0): -3})
+        assert ring.unpack(ring.resultant(a, b, 0)) == {(0, 0): 7}
+        c = ring.pack({(2, 0): 1, (0, 0): 1})
+        d = ring.pack({(2, 0): 1, (0, 0): -1})
+        assert ring.unpack(ring.resultant(c, d, 0)) == {(0, 0): 4}
 
     def test_common_factor_gives_zero(self):
         # both divisible by (x - 1)
-        a = {(2, 0): 1, (0, 0): -1}
-        b = {(1, 0): 1, (0, 0): -1}
-        assert mp_resultant(a, b, 0) == {}
+        ring = PackedRing(2)
+        a = ring.pack({(2, 0): 1, (0, 0): -1})
+        b = ring.pack({(1, 0): 1, (0, 0): -1})
+        assert ring.resultant(a, b, 0) == {}
 
     def test_bivariate(self):
         # res_y(y^2 - x, y - x) = x^2 - x
-        a = {(0, 2): 1, (1, 0): -1}
-        b = {(0, 1): 1, (1, 0): -1}
-        assert mp_resultant(a, b, 1) == {(2, 0): 1, (1, 0): -1}
+        ring = PackedRing(2)
+        a = ring.pack({(0, 2): 1, (1, 0): -1})
+        b = ring.pack({(0, 1): 1, (1, 0): -1})
+        assert ring.unpack(ring.resultant(a, b, 1)) == {(2, 0): 1, (1, 0): -1}
 
 
 class TestPackedKeys:
@@ -270,7 +271,9 @@ class TestAgainstSympy:
     @settings(max_examples=50, deadline=None)
     @given(mpolys(3), mpolys(3), st.integers(0, 2))
     def test_resultant(self, sp, p, q, var):
-        assume(max(mp_degree(p, var), mp_degree(q, var)) >= 1)
+        packed = PackedRing(3)
+        p_key, q_key = packed.pack(p), packed.pack(q)
+        assume(max(packed.degree(p_key, var), packed.degree(q_key, var)) >= 1)
         # the determinant of the Sylvester matrix, which defines the resultant;
         # sympy.resultant itself returns res(q, p) when p has the lower degree
         from sympy.polys.subresultants_qq_zz import sylvester
@@ -281,7 +284,8 @@ class TestAgainstSympy:
         ring = sp.ZZ[[g for i, g in enumerate(gens) if i != var]]
         matrix = sylvester(to_sympy(sp, p, gens), to_sympy(sp, q, gens), gens[var])
         want = ring.to_sympy(matrix.to_DM(ring).det())
-        assert mp_resultant(p, q, var) == from_sympy(sp, sp.expand(want), gens)
+        got = packed.unpack(packed.resultant(p_key, q_key, var))
+        assert got == from_sympy(sp, sp.expand(want), gens)
 
     @settings(max_examples=50, deadline=None)
     @given(bivars(), x_factors())

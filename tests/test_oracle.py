@@ -66,7 +66,9 @@ class TestHistogram:
 
     def test_totals_and_parity(self):
         hist = brute_histogram(BIN, parse_polish("mmxxx", BIN), 5)
-        totals = hist.totals_by_vertices()
+        totals: dict[int, int] = {}
+        for (n, _), c in hist.entries.items():
+            totals[n] = totals.get(n, 0) + c
         for n, c in totals.items():
             assert n % 2 == 1
             assert c == catalan((n - 1) // 2)
@@ -75,7 +77,7 @@ class TestHistogram:
         pattern = parse_polish("mxmxx", BIN)
         hist = brute_histogram(BIN, pattern, 5)
         avoiders = count_avoiders(BIN, PatternSet(BIN, (pattern,)), 5)
-        assert hist.marginal_avoiders() == avoiders
+        assert {n: c for (n, k), c in hist.entries.items() if k == 0} == avoiders
 
 
 class TestCountAvoiders:
