@@ -153,6 +153,17 @@ class TestClassifyCommand:
         assert code == 1
         assert "--deep" in err
 
+    def test_bad_workers_environment(self, capsys, monkeypatch):
+        # one row of a lower-bounds sweep: the smallest order, avoidance mode
+        monkeypatch.setenv("TREEWILF_WORKERS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--help"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, "classify", "-n", "2", "--mode", "av", "--quiet")
+        assert code == 1
+        assert out == "" and err == "error: TREEWILF_WORKERS must be an integer, got 'abc'\n"
+
 
 class TestStabilizeCommand:
     # counts listed by ascending order, the order of the output lines
@@ -338,10 +349,6 @@ class TestUsageErrors:
 
     def test_bad_workers_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("TREEWILF_WORKERS", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["classify", "--help"])
-        assert exc.value.code == 0
-        capsys.readouterr()
         code, _, err = run(capsys, "classify", "-n", "3", "--quiet")
         assert code == 1
         assert err == "error: TREEWILF_WORKERS must be an integer, got 'abc'\n"
