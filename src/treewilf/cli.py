@@ -8,6 +8,7 @@ machine-parsable.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -221,6 +222,10 @@ def cmd_system(args) -> int:
 
 
 def cmd_eliminate(args) -> int:
+    _at_least(1, args, "--max-unknowns", "--check-order")
+    if args.deadline is not None and not 0 < args.deadline < math.inf:
+        raise ValidationError(f"--deadline must be a finite number of seconds above 0, "
+                              f"got {args.deadline}")
     alphabet = _alphabet(args)
     patterns = _patterns(args, alphabet)
     system = cs_system(build_grammar(alphabet, patterns, max_nonterminals=args.max_nonterminals))
@@ -326,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eliminate", help="eliminate unknowns to one polynomial in (x, G)")
     add_common(p)
     p.add_argument("--max-unknowns", type=int, default=12)
-    p.add_argument("--deadline", type=float, default=None, help="seconds before giving up")
+    p.add_argument("--deadline", type=float, default=None,
+                   help="seconds before giving up (finite, above 0)")
     p.add_argument("--check-order", type=int, default=60)
     p.set_defaults(func=cmd_eliminate)
 

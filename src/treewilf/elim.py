@@ -63,8 +63,14 @@ class PackedRing:
 
     A ring made with a deadline (a time.monotonic() value) raises
     EliminationBoundError once it has passed, checking before every row of a
-    product and every quotient term of an exact division, so no single
-    operation runs far past it.
+    product, every quotient term of an exact division and every v-degree part
+    of a linear pseudo-remainder, so no single operation runs far past it.
+
+    Linear pivots take a one-pass route: prem by a divisor of degree 1 in the
+    variable is an evaluation (prem_linear), and resultant returns it, signed,
+    when the lower-degree operand is linear.  Every other divisor goes through
+    the general pseudo-division loop, and every other resultant through the
+    subresultant sequence.
     """
 
     __slots__ = ("nvars", "guard", "deadline")
@@ -155,6 +161,8 @@ class PackedRing:
         leading key; entries whose term has cancelled are skipped."""
         if not q:
             raise ZeroDivisionError("division by the zero polynomial")
+        if len(q) == 1 and q.get(0) in (1, -1):
+            return pk_scale(p, q[0])
         if not p:
             return {}
         guard = self.guard
@@ -196,6 +204,8 @@ class PackedRing:
         dq = self.degree(q, var)
         if dq < 0:
             raise ZeroDivisionError("pseudo-division by zero")
+        if dq == 1:
+            return self.prem_linear(p, q, var)
         shift = self.shift(var)
         field, qtop = FIELD_MASK << shift, dq << shift
         lcq = self.coeff_of(q, var, dq)
@@ -223,9 +233,61 @@ class PackedRing:
             rem = self.mul(lcq, rem)
         return rem
 
+    def prem_linear(self, p: MPoly, q: MPoly, var: int) -> MPoly:
+        """prem(p, q, var) for q = a*v + b of degree 1 in v = var.  With p_k
+        the coefficient of v^k, that is a^dp * p(-b/a) = sum over k of
+        p_k * (-b)^k * a^(dp-k) (von zur Gathen & Gerhard, Modern Computer
+        Algebra, ch. 6): p is split by v-degree once and summed by Horner's
+        rule.  When a is +-1 and b one term, each p_k is re-keyed instead, so
+        every term of p is visited once."""
+        dp = self.degree(p, var)
+        if dp < 1:
+            return p
+        shift = self.shift(var)
+        field = FIELD_MASK << shift
+        parts: list[MPoly] = [{} for _ in range(dp + 1)]
+        for k, c in p.items():
+            parts[(k & field) >> shift][k & ~field] = c
+        a = self.coeff_of(q, var, 1)
+        neg_b = {k: -c for k, c in q.items() if not k & field}
+        if len(neg_b) == 1 and len(a) == 1 and a.get(0) in (1, -1):
+            (b_key, b_c), = neg_b.items()
+            unit = a[0]
+            out: MPoly = {}
+            get = out.get
+            # at v-degree k: step = k * b_key and f = b_c^k * a^(dp-k), where
+            # b_c * (monomial b_key) is -b
+            step, f = 0, unit ** dp
+            for part in parts:
+                self.check_deadline()
+                # every field of step is below 2^(FIELD-1), so step + key carries
+                # into no other field and the final guard test sees an overflow
+                if step & self.guard:
+                    raise EliminationBoundError(f"an exponent reached 2^{FIELD - 1} in a substitution")
+                for k, c in part.items():
+                    k += step
+                    s = get(k, 0) + c * f
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+                step += b_key
+                f *= b_c * unit
+            if reduce(or_, out, 0) & self.guard:
+                raise EliminationBoundError(f"an exponent reached 2^{FIELD - 1} in a substitution")
+            return out
+        # Horner's rule; the products check the deadline and the guard bits
+        rem = parts[dp]
+        a_pow: MPoly = {0: 1}
+        for k in range(dp - 1, -1, -1):
+            a_pow = self.mul(a_pow, a)
+            rem = self.addmul(self.mul(parts[k], a_pow), rem, neg_b)
+        return rem
+
     def resultant(self, p: MPoly, q: MPoly, var: int) -> MPoly:
         """Resultant of p and q with respect to var, by the subresultant
-        polynomial remainder sequence (exact integer divisions throughout)."""
+        polynomial remainder sequence (exact integer divisions throughout), or
+        by one pseudo-remainder when the lower-degree operand is linear."""
         dp, dq = self.degree(p, var), self.degree(q, var)
         if dp < 0 or dq < 0:
             return {}
@@ -238,6 +300,9 @@ class PackedRing:
                 sign = -sign
         if dq == 0:
             return pk_scale(self.pow(q, dp), sign)
+        if dq == 1:
+            # res(p, a*v + b) = (-1)^dp * a^dp * p(-b/a) = (-1)^dp * prem(p, q)
+            return pk_scale(self.prem_linear(p, q, var), -sign if dp & 1 else sign)
         g, h = {0: 1}, {0: 1}
         while True:
             delta = dp - dq

@@ -312,7 +312,15 @@ class TestUsageErrors:
         (["classify", "-n", "1", "--quiet"], "at least 2 leaves"),
         (["stabilize", "-n", "4", "--mode", "bogus"], "--mode"),
         (["inspect", "--pattern", "mmx"], "'mmx'"),
-    ], ids=["stabilize-leaves", "orders-abc", "orders-0", "classify-leaves", "mode", "inspect"])
+        (["eliminate", "--patterns", "mmxxx", "--deadline", "nan"], "--deadline"),
+        (["eliminate", "--patterns", "mmxxx", "--deadline", "inf"], "--deadline"),
+        (["eliminate", "--patterns", "mmxxx", "--deadline", "0"], "--deadline"),
+        (["eliminate", "--patterns", "mmxxx", "--deadline", "-1"], "--deadline"),
+        (["eliminate", "--patterns", "mmxxx", "--max-unknowns", "-1"], "--max-unknowns"),
+        (["eliminate", "--patterns", "mmxxx", "--check-order", "0"], "--check-order"),
+    ], ids=["stabilize-leaves", "orders-abc", "orders-0", "classify-leaves", "mode", "inspect",
+            "deadline-nan", "deadline-inf", "deadline-0", "deadline-negative",
+            "max-unknowns-negative", "check-order-0"])
     def test_one_error_line(self, capsys, monkeypatch, argv, message):
         monkeypatch.setenv("TREEWILF_WORKERS", "1")
         try:

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from treewilf.elim import (
@@ -85,6 +85,30 @@ class TestPackedKeys:
             with pytest.raises(ArithmeticError):
                 ring.divexact(ring.pack(dividend), ring.pack(divisor))
 
+    @pytest.mark.parametrize("lead", [1, -1, 2])
+    @pytest.mark.parametrize("var, dividend, tail", [
+        (1, {(0, 4): 1}, {(2**30, 0): -1}),
+        (0, {(4, 0): 1}, {(0, 2**30): -1}),
+        (0, {(1, 2**31 - 1): 1}, {(0, 1): -1}),
+    ], ids=["into-top-field", "into-bottom-field", "in-the-sum"])
+    def test_substitution_overflowing_a_field(self, var, dividend, tail, lead):
+        # prem by lead*v + tail substitutes v = -tail/lead; each case reaches an
+        # exponent of 2^31 or more, which must not carry into a neighbouring field
+        ring = PackedRing(2)
+        v = tuple(1 if i == var else 0 for i in range(2))
+        divisor = ring.pack({v: lead, **tail})
+        with pytest.raises(EliminationBoundError):
+            ring.prem(ring.pack(dividend), divisor, var)
+
+    @pytest.mark.parametrize("divisor", [{(0, 1): 1, (1, 0): -1},
+                                         {(0, 1): 2, (1, 0): -1, (0, 0): 3}],
+                             ids=["unit-lead-one-term-tail", "general"])
+    def test_deadline_inside_a_linear_prem(self, divisor):
+        ring = PackedRing(2, deadline=time.monotonic() - 1)
+        dividend = ring.pack({(k, k): k + 1 for k in range(60)})
+        with pytest.raises(EliminationBoundError, match="deadline"):
+            ring.prem(dividend, ring.pack(divisor), 1)
+
     def test_largest_exponent_round_trips(self):
         ring = PackedRing(3)
         p = {(2**31 - 1, 0, 5): 3, (0, 2**31 - 1, 0): -1}
@@ -97,6 +121,19 @@ class TestEliminate:
 
     def test_geometric(self):
         assert eliminate(geometric_system()) == GEOMETRIC_POLY
+
+    @pytest.mark.parametrize("word, digest", [
+        ("mmxmmxmmxxxxx", "1af3261cd7512c01455f79cba4a47f424999083a6f6df93e9a005822cc2a31d5"),
+        ("mmmxxmxmmxxxx", "411ecdb2963fb1491a2068dd37ccef1876801de6b0e8a09c3de87a23f879f894"),
+        ("mmmmxmxxxxmxx", "d19bb5127d41cbb340150d505144fa60ab5075de7700d358f3403700ae43fa41"),
+        ("mmmxmxmxmxxxx", "05e441e59bdce28d834c5bb406ded4b0f5c1284ff522e2f2937058267dbd5826"),
+    ])
+    def test_pinned_output(self, word, digest):
+        # a different polynomial that still annihilates the series would pass the
+        # soundness tests; these pin the exact polynomial of reduced avoidance systems
+        system = enumeration_system(parse_polish(word, BIN), marked=False)
+        text = eliminate(system).canonical_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_soundness_catalan(self):
         system = catalan_system()
@@ -245,6 +282,33 @@ def mpolys(nvars: int):
                            st.integers(-5, 5).filter(bool), min_size=1, max_size=5)
 
 
+def linear_in(var: int, lead: dict, tail: dict) -> dict:
+    """lead*v + tail over (x, y, z), v the variable var: degree exactly 1 in v
+    when lead and tail are polynomials in the other two variables."""
+    def lift(p, e):
+        return {k[:var] + (e,) + k[var:]: c for k, c in p.items()}
+    return {**lift(tail, 0), **lift(lead, 1)}
+
+
+def leads():
+    return st.sampled_from([{(0, 0): 1}, {(0, 0): -1}]) | mpolys(2)
+
+
+def tails():
+    return mpolys(2).map(lambda p: dict([next(iter(p.items()))])) | mpolys(2)
+
+
+def linear_examples(test):
+    """Explicit linear operands: unit and non-unit lead, one-term and
+    many-term tail, as the first and as the second argument."""
+    other = {(3, 1, 0): 2, (1, 0, 2): -1, (0, 2, 1): 3, (2, 0, 0): -4}
+    for side in ("p", "q"):
+        for lead in ({(0, 0): 1}, {(0, 0): -1}, {(1, 0): 2, (0, 2): -1}):
+            for tail in ({(2, 1): -3}, {(1, 0): 1, (0, 2): -2, (1, 1): 4}):
+                test = example(p=other, q=other, var=0, linear=side, lead=lead, tail=tail)(test)
+    return test
+
+
 def bivars():
     return mpolys(2).map(BivarPoly.from_dict)
 
@@ -268,9 +332,16 @@ def from_sympy(sp, expr, gens) -> dict:
 
 
 class TestAgainstSympy:
-    @settings(max_examples=50, deadline=None)
-    @given(mpolys(3), mpolys(3), st.integers(0, 2))
-    def test_resultant(self, sp, p, q, var):
+    @settings(max_examples=80, deadline=None)
+    @given(mpolys(3), mpolys(3), st.integers(0, 2), st.sampled_from([None, "p", "q"]),
+           leads(), tails())
+    @linear_examples
+    def test_resultant(self, sp, p, q, var, linear, lead, tail):
+        # linear names the operand replaced by lead*v + tail, of degree 1 in v
+        if linear == "p":
+            p = linear_in(var, lead, tail)
+        elif linear == "q":
+            q = linear_in(var, lead, tail)
         packed = PackedRing(3)
         p_key, q_key = packed.pack(p), packed.pack(q)
         assume(max(packed.degree(p_key, var), packed.degree(q_key, var)) >= 1)
@@ -285,6 +356,16 @@ class TestAgainstSympy:
         matrix = sylvester(to_sympy(sp, p, gens), to_sympy(sp, q, gens), gens[var])
         want = ring.to_sympy(matrix.to_DM(ring).det())
         got = packed.unpack(packed.resultant(p_key, q_key, var))
+        assert got == from_sympy(sp, sp.expand(want), gens)
+
+    @settings(max_examples=50, deadline=None)
+    @given(mpolys(3), st.integers(0, 2), leads(), tails())
+    def test_linear_prem(self, sp, p, var, lead, tail):
+        q = linear_in(var, lead, tail)
+        gens = sp.symbols("x y z")
+        want = sp.prem(to_sympy(sp, p, gens), to_sympy(sp, q, gens), gens[var])
+        ring = PackedRing(3)
+        got = ring.unpack(ring.prem(ring.pack(p), ring.pack(q), var))
         assert got == from_sympy(sp, sp.expand(want), gens)
 
     @settings(max_examples=50, deadline=None)
