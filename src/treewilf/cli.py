@@ -278,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated Polish words (empty for the free language)")
         p.add_argument("--patterns-file", default=None,
                        help="file with one pattern per line, # comments allowed")
-        p.add_argument("--max-nonterminals", type=int, default=100000)
+        p.add_argument("--max-nonterminals", type=int, default=100000,
+                       help="grammar budget: at most this many nonterminals and its "
+                            "square in candidate rule bodies")
 
     p = sub.add_parser("classify", help="group n-leaf binary patterns by truncated series")
     p.add_argument("-n", "--leaves", type=int, required=True)

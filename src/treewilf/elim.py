@@ -12,8 +12,9 @@ on packing or in a product, raises EliminationBoundError instead of carrying
 into the next field.  Exact division tests that every field of a quotient
 monomial is nonnegative with one guard-bit subtraction.
 
-Exponent tuples appear only at the boundary, system_polynomials and
-BivarPoly.terms; eliminate packs once on entry and unpacks its result once.
+Exponent tuples appear only at the boundary, in BivarPoly.terms:
+system_polynomials builds packed keys directly, and eliminate unpacks its
+result once.
 BivarPoly is an immutable polynomial in (G, x), and a content in Z[x] packs
 to keys equal to its x-exponents.  All arithmetic is over the integers:
 divisions inside the subresultant remainder sequence and by a content are
@@ -21,6 +22,16 @@ exact by construction and checked.  The resultant of two polynomials lies in
 the ideal they generate, so every polynomial produced by eliminate vanishes
 on any common solution of the system; the annihilation test makes that
 checkable against solved series.
+
+A content is found by evaluation, the heuristic gcd of Char, Geddes and
+Gonnet (J. Symbolic Computation 7, 1989): the G-coefficients are evaluated
+at one power of two xi above twice their largest absolute coefficient, the
+integer gcd of the values is read back as a polynomial in balanced base xi,
+and its primitive part is accepted only once it divides every G-coefficient
+exactly.  Past that check it is the primitive gcd, since a nonconstant
+factor of a coefficient takes a value at xi larger than any balanced digit.
+A rejected candidate is retried at two larger xi, and only then does the
+primitive remainder sequence (univariate_gcd) compute the content.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import or_
+from operator import countOf, or_
 
 from .series import TruncatedSeries
 from .systems import AlgebraicSystem
@@ -145,8 +156,10 @@ class PackedRing:
 
     def degree(self, p: MPoly, var: int) -> int:
         """Degree in var; -1 for the zero polynomial."""
+        if not p:
+            return -1
         shift = self.shift(var)
-        return max(((k >> shift) & FIELD_MASK for k in p), default=-1)
+        return max(map((FIELD_MASK << shift).__and__, p)) >> shift
 
     def coeff_of(self, p: MPoly, var: int, deg: int) -> MPoly:
         """Coefficient of var^deg, as a polynomial with that exponent zeroed."""
@@ -358,6 +371,49 @@ def univariate_gcd(p: MPoly, q: MPoly) -> MPoly:
     return pk_scale(p, c)
 
 
+def balanced_digits(n: int, bits: int) -> MPoly:
+    """n written in base 2^bits with digits in [-2^(bits-1), 2^(bits-1)), as
+    the polynomial of X_RING whose value at 2^bits is n."""
+    out: MPoly = {}
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    k = 0
+    while n:
+        d = n & mask
+        if d >= half:
+            d -= 1 << bits
+        if d:
+            out[k] = d
+        n = (n - d) >> bits
+        k += 1
+    return out
+
+
+def evaluation_gcd(polys: list[MPoly]) -> tuple[MPoly, list[MPoly]] | None:
+    """The gcd of nonzero polynomials of X_RING up to an integer factor,
+    primitive with positive leading coefficient, with the quotient of each
+    polynomial by it; None when three evaluations give no candidate that
+    divides them all.
+
+    With xi = 2^bits > 2M + 2, M the largest absolute coefficient, a root of
+    any of the polynomials lies within 1 + M of 0 (Cauchy), so a nonconstant
+    factor h of one of them has |h(xi)| > xi/2.  The primitive gcd g divides
+    the values' gcd, which is read back as d * c(xi) with c primitive and
+    |d| <= xi/2; when c divides every polynomial, g = c * h with h(xi)
+    dividing d, so h is constant and c = g."""
+    top = max(abs(c) for p in polys for c in p.values())
+    bits = (2 * top + 2).bit_length()
+    for _ in range(3):
+        value = 0
+        for p in polys:
+            value = gcd(value, sum(c << (bits * k) for k, c in p.items()))
+        candidate = pk_primitive(balanced_digits(value, bits))
+        try:
+            return candidate, [X_RING.divexact(p, candidate) for p in polys]
+        except ArithmeticError:
+            bits *= 2
+    return None
+
+
 # -- bivariate polynomials in (G, x) ----------------------------------------------
 
 
@@ -414,19 +470,29 @@ class BivarPoly:
         """The Z[x] content, keyed by (x_degree,) with positive leading
         coefficient, and the matching primitive part.
 
-        The content is the gcd of the G-coefficients; by Gauss's lemma it
-        divides each of them in Z[x], so the division is exact over Z.
+        The content is the gcd of the G-coefficients: the integer gcd of
+        their coefficients times the primitive gcd that evaluation_gcd finds
+        and checks by exact division.  When it finds none, the primitive
+        remainder sequence (univariate_gcd) computes the content instead; by
+        Gauss's lemma it divides each G-coefficient in Z[x], so that
+        division is exact over Z too.
         """
         if self.is_zero():
             return {}, self
-        packed = self.packed()
         coeffs: dict[int, MPoly] = {}
-        for k, c in packed.items():
-            coeffs.setdefault(k >> FIELD, {})[k & FIELD_MASK] = c
-        content = reduce(univariate_gcd, coeffs.values(), {})
-        # lifted to (G, x) with G-exponent 0, the content keeps its keys
-        prim = BivarPoly.from_packed(GX_RING.divexact(packed, content))
-        return X_RING.unpack(content), prim
+        for (g, xd), c in self.terms:
+            coeffs.setdefault(g, {})[xd] = c
+        found = evaluation_gcd(list(coeffs.values()))
+        if found is None:
+            content = reduce(univariate_gcd, coeffs.values(), {})
+            # lifted to (G, x) with G-exponent 0, the content keeps its keys
+            prim = BivarPoly.from_packed(GX_RING.divexact(self.packed(), content))
+            return X_RING.unpack(content), prim
+        primitive_gcd, quotients = found
+        icont = gcd(*(c for _, c in self.terms))
+        prim = BivarPoly.from_dict({(g, xd): c // icont for g, q in zip(coeffs, quotients)
+                                    for xd, c in q.items()})
+        return {(xd,): icont * c for xd, c in primitive_gcd.items()}, prim
 
     def canonical_text(self) -> str:
         """Stable text form: terms sorted by G-degree then x-degree."""
@@ -501,32 +567,28 @@ def annihilates(p: BivarPoly, series: TruncatedSeries, order: int) -> bool:
 
 
 
-def system_polynomials(system: AlgebraicSystem) -> tuple[list[dict[Exps, int]], int]:
+def system_polynomials(system: AlgebraicSystem) -> tuple[list[MPoly], int]:
     """Defining polynomials unknown_i - rhs_i over variables (x, y_0..y_{N-1}, G),
-    plus the target polynomial G - sum(target), keyed by exponent
-    tuples.  Returns (polys, nvars)."""
+    plus the target polynomial G - sum(target), as MPolys of PackedRing(nvars).
+    Returns (polys, nvars)."""
     if len(system.weight_vars) != 1:
         raise EliminationError("elimination supports one weight variable")
-    n = system.n_unknowns
-    nvars = 1 + n + 1
-
-    def unit(j: int) -> Exps:
-        return tuple(1 if i == j else 0 for i in range(nvars))
-
-    polys: list[dict[Exps, int]] = []
+    nvars = 1 + system.n_unknowns + 1
+    ring = PackedRing(nvars)
+    unit = [1 << ring.shift(v) for v in range(nvars)]
+    polys: list[MPoly] = []
     for i, eq in enumerate(system.equations):
-        p = {unit(1 + i): 1}
+        p = {unit[1 + i]: 1}
         for m in eq:
-            exps = [0] * nvars
-            exps[0] = m.wexp[0]
-            for f in m.factors:
-                exps[1 + f] += 1
-            e = tuple(exps)
-            p[e] = p.get(e, 0) - m.coeff
-        polys.append({e: c for e, c in p.items() if c})
-    gpoly = {unit(nvars - 1): 1}
+            if m.wexp[0] >> (FIELD - 1):
+                raise EliminationBoundError(
+                    f"exponent {m.wexp[0]} is outside the packed range [0, 2^{FIELD - 1})")
+            key = m.wexp[0] * unit[0] + sum(unit[1 + f] for f in m.factors)
+            p[key] = p.get(key, 0) - m.coeff
+        polys.append({k: c for k, c in p.items() if c})
+    gpoly = {unit[nvars - 1]: 1}
     for ui in system.target:
-        gpoly[unit(1 + ui)] = -1
+        gpoly[unit[1 + ui]] = -1
     polys.append(gpoly)
     return polys, nvars
 
@@ -553,9 +615,8 @@ def eliminate(system: AlgebraicSystem, max_unknowns: int = 12,
     if elimination_order is not None and sorted(elimination_order) != list(range(system.n_unknowns)):
         raise ValueError("elimination_order must be a permutation of the unknown indices")
     deadline = None if deadline_seconds is None else time.monotonic() + deadline_seconds
-    tuple_polys, nvars = system_polynomials(system)
+    polys, nvars = system_polynomials(system)
     ring = PackedRing(nvars, deadline)
-    polys = [ring.pack(p) for p in tuple_polys]
     remaining = list(range(1, 1 + system.n_unknowns))
     forced = [1 + u for u in elimination_order] if elimination_order is not None else None
 
@@ -564,11 +625,10 @@ def eliminate(system: AlgebraicSystem, max_unknowns: int = 12,
         if forced:
             var = forced.pop(0)
         else:
-            occurrence = {}
-            for v in remaining:
-                field = FIELD_MASK << ring.shift(v)
-                occurrence[v] = sum(1 for p in polys for k in p if k & field)
-            var = min(remaining, key=lambda v: (occurrence[v], v))
+            # the keys holding v are those whose field of v is not zero
+            keys = [k for p in polys for k in p]
+            var = min(remaining, key=lambda v: (
+                len(keys) - countOf(map((FIELD_MASK << ring.shift(v)).__and__, keys), 0), v))
         degrees = [ring.degree(p, var) for p in polys]
         holding = [(d, p) for d, p in zip(degrees, polys) if d > 0]
         passing = [p for d, p in zip(degrees, polys) if d <= 0]

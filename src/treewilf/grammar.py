@@ -113,6 +113,11 @@ class Grammar:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
+def _bodies(alphabet: Alphabet, n: int) -> int:
+    """Number of trees with one internal root over children drawn from n trees."""
+    return sum(n ** k for _, k in alphabet.internal_labels)
+
+
 def build_Ld(alphabet: Alphabet, patterns: PatternSet, max_size: int | None = None,
              height: int | None = None) -> list[Tree]:
     """All avoiding trees of height at most d (max pattern height, unless
@@ -122,7 +127,7 @@ def build_Ld(alphabet: Alphabet, patterns: PatternSet, max_size: int | None = No
     layer: list[Tree] = [x]
     for _ in range(d):
         # every tree of height <= h is either x or a root over height <= h-1 trees
-        size = 1 + sum(len(layer) ** k for _, k in alphabet.internal_labels)
+        size = 1 + _bodies(alphabet, len(layer))
         if max_size is not None and size > max_size:
             raise GrammarSizeError(
                 f"height-{d} tree layer exceeds the budget of {max_size} candidates"
@@ -178,7 +183,11 @@ def build_grammar(alphabet: Alphabet, patterns: PatternSet, max_nonterminals: in
 
     The rules come in canonical order: the start rules in L_d order, then
     each head's bodies by label in alphabet order and by children in
-    product order over L_d, which is the order of their Polish words."""
+    product order over L_d, which is the order of their Polish words.
+
+    max_nonterminals bounds |L_d| and, through its square, the number of
+    candidate rule bodies, which is known once L_d is built; a binary
+    grammar within the first bound is within the second."""
     d = patterns.d if height is None else height
     if d < max(patterns.d - 1, 0):
         raise ValueError(f"height {d} is too low to see a root occurrence of a height-{patterns.d} pattern")
@@ -186,6 +195,12 @@ def build_grammar(alphabet: Alphabet, patterns: PatternSet, max_nonterminals: in
     if max_nonterminals is not None and len(Ld) > max_nonterminals:
         raise GrammarSizeError(
             f"|L_d| = {len(Ld)} exceeds the nonterminal budget of {max_nonterminals}"
+        )
+    candidates = _bodies(alphabet, len(Ld))
+    if max_nonterminals is not None and candidates > max_nonterminals ** 2:
+        raise GrammarSizeError(
+            f"{candidates} candidate rule bodies exceed the budget of "
+            f"{max_nonterminals}^2 = {max_nonterminals ** 2}"
         )
     index = {v: i for i, v in enumerate(Ld)}
     plist = patterns.patterns

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .grammar import Grammar, GrammarSizeError, build_grammar
-from .trees import Alphabet, PatternSet, Tree, emit_polish, subtrees, word_key
+from .trees import Alphabet, PatternSet, Tree, emit_polish, subtrees
 
 
 class ImproperSystemError(ValueError):
@@ -177,8 +177,11 @@ def cs_system(grammar: Grammar, weights: dict[str, tuple[int, ...]] | None = Non
     )
 
 
-def stamp_system(alphabet: Alphabet, patterns: PatternSet,
-                 max_stamps: int | None = 20000) -> AlgebraicSystem:
+# stamp_system's nonterminal budget: at most this many stamps
+MAX_STAMPS = 20000
+
+
+def stamp_system(alphabet: Alphabet, patterns: PatternSet) -> AlgebraicSystem:
     """Leaf-graded avoidance system with unknowns indexed by stamps: avoiding
     trees of height strictly below the maximal pattern height (height 0 for
     an empty pattern set).  The stamp of a tree is its height-(d-1)
@@ -187,10 +190,11 @@ def stamp_system(alphabet: Alphabet, patterns: PatternSet,
 
     This is the Chomsky-Schutzenberger system of the grammar truncated at
     height d-1, with the weight variable z on free ends only, so the target
-    series grades avoiders by leaf count (operad arity).
+    series grades avoiders by leaf count (operad arity).  More than
+    MAX_STAMPS stamps raise SystemSizeError.
     """
     try:
-        grammar = build_grammar(alphabet, patterns, max_nonterminals=max_stamps,
+        grammar = build_grammar(alphabet, patterns, max_nonterminals=MAX_STAMPS,
                                 height=max(patterns.d - 1, 0))
     except GrammarSizeError as exc:
         raise SystemSizeError(str(exc)) from exc
@@ -210,6 +214,22 @@ def _require_binary_pattern(pattern: Tree) -> None:
         )
 
 
+def _collect_subtrees(t: Tree, kids: dict[str, tuple[str, str] | None],
+                      trees: dict[str, Tree]) -> str:
+    """Record every subtree of t by Polish word: in kids, the words of its two
+    children (None for the free end), and in trees, the subtree.  Returns
+    the word of t."""
+    if t.is_free_end():
+        word, pair = t.label, None
+    else:
+        pair = (_collect_subtrees(t.children[0], kids, trees),
+                _collect_subtrees(t.children[1], kids, trees))
+        word = t.label + pair[0] + pair[1]
+    kids[word] = pair
+    trees[word] = t
+    return word
+
+
 class OccurrenceAutomaton:
     """Deterministic bottom-up automaton tracking which rooted subtrees of a
     binary pattern embed at the root of a tree.
@@ -218,23 +238,30 @@ class OccurrenceAutomaton:
     of the pattern).  Joining two trees under a new root maps state pairs to
     a state, and creates a root occurrence exactly when the pattern's two
     immediate subtrees are present on the respective sides.
+
+    The distinct subtrees are collected by Polish word and numbered in word
+    order; on {m, x} the order of the strings is the order of the label
+    sequences.  So a state's list of subtree indices orders the states as
+    their sorted subtree words do, and names them from words computed once.
+    A join depends on a state only through its left or right projection
+    (the bits it can contribute on that side), and reachable() joins each
+    pair of projections once, recording the result in a transition table
+    that the system builder reads.
     """
 
     def __init__(self, pattern: Tree):
         _require_binary_pattern(pattern)
-        alphabet = Alphabet.binary()
         self.pattern = pattern
-        self.subs: list[Tree] = sorted(set(subtrees(pattern)),
-                                       key=lambda t: word_key(t, alphabet))
-        idx = {s: i for i, s in enumerate(self.subs)}
-        self._internal = [
-            (idx[s], idx[s.children[0]], idx[s.children[1]])
-            for s in self.subs
-            if not s.is_free_end()
-        ]
-        self.x_bit = 1 << idx[Tree("x")]
-        self.p_left_bit = 1 << idx[pattern.children[0]]
-        self.p_right_bit = 1 << idx[pattern.children[1]]
+        kids: dict[str, tuple[str, str] | None] = {}
+        trees: dict[str, Tree] = {}
+        top = _collect_subtrees(pattern, kids, trees)
+        self.words: list[str] = sorted(kids)
+        self.subs: list[Tree] = [trees[w] for w in self.words]
+        idx = {w: i for i, w in enumerate(self.words)}
+        self._internal = [(idx[w], idx[pair[0]], idx[pair[1]]) for w, pair in kids.items() if pair]
+        self.x_bit = 1 << idx["x"]
+        self.p_left_bit = 1 << idx[kids[top][0]]
+        self.p_right_bit = 1 << idx[kids[top][1]]
         self.left_mask = 0
         self.right_mask = 0
         for _, li, ri in self._internal:
@@ -261,70 +288,64 @@ class OccurrenceAutomaton:
         b = self.state_of(tree.children[1]) & self.right_mask
         return self.join(a, b)
 
-    def reachable_states(self, marked: bool) -> list[int]:
-        """All states reachable from the free-end state; with marked=False,
-        joins that create a root occurrence are excluded (avoidance mode)."""
+    def reachable(self, marked: bool) -> tuple[list[int], dict[tuple[int, int], int]]:
+        """All states reachable from the free-end state, in word order, and
+        the transition table {(left projection, right projection): state}
+        over every pair of their projections; with marked=False, joins that
+        create a root occurrence are excluded (avoidance mode) and have no
+        entry.  Each round joins only the pairs with a projection new in it."""
         states = {self.start()}
-        while True:
-            lefts = {a & self.left_mask for a in states}
-            rights = {b & self.right_mask for b in states}
+        lefts: set[int] = set()
+        rights: set[int] = set()
+        table: dict[tuple[int, int], int] = {}
+        fresh = states
+        while fresh:
+            new_lefts = {a & self.left_mask for a in fresh} - lefts
+            new_rights = {b & self.right_mask for b in fresh} - rights
+            lefts |= new_lefts
+            rights |= new_rights
             fresh = set()
             for lp in lefts:
-                for rp in rights:
+                for rp in rights if lp in new_lefts else new_rights:
                     if not marked and self.root_occurrence(lp, rp):
                         continue
-                    t = self.join(lp, rp)
+                    t = table[lp, rp] = self.join(lp, rp)
                     if t not in states:
                         fresh.add(t)
-            if not fresh:
-                return self._sorted(states)
             states |= fresh
+        return sorted(states, key=self._indices), table
 
-    def _sorted(self, states: set[int]) -> list[int]:
-        alphabet = Alphabet.binary()
-
-        def key(mask: int):
-            return tuple(sorted(
-                word_key(self.subs[i], alphabet)
-                for i in range(len(self.subs))
-                if (mask >> i) & 1
-            ))
-
-        return sorted(states, key=key)
+    def _indices(self, mask: int) -> list[int]:
+        return [i for i in range(len(self.subs)) if (mask >> i) & 1]
 
     def state_name(self, mask: int) -> str:
-        words = sorted(
-            emit_polish(self.subs[i])
-            for i in range(len(self.subs))
-            if (mask >> i) & 1
-        )
-        return "C[" + "|".join(words) + "]"
+        return "C[" + "|".join(self.words[i] for i in self._indices(mask)) + "]"
 
 
 def _reduced_occurrence_system(pattern: Tree, marked: bool, leaf_weights: bool) -> AlgebraicSystem:
     auto = OccurrenceAutomaton(pattern)
-    states = auto.reachable_states(marked)
+    states, table = auto.reachable(marked)
     index = {s: i for i, s in enumerate(states)}
     weight_vars = (("z",) if leaf_weights else ("x",)) + (("y",) if marked else ())
     nv = len(weight_vars)
     base_wexp = (1,) + (0,) * (nv - 1)
     join_wexp = ((0,) if leaf_weights else (1,)) + (0,) * (nv - 1)
-    join_wexp_marked = None
-    if marked:
-        join_wexp_marked = ((0, 1) if leaf_weights else (1, 1))
+    join_wexp_marked = ((0, 1) if leaf_weights else (1, 1)) if marked else None
+    # each transition as (target unknown, weight exponents)
+    cells = {
+        pair: (index[t], join_wexp_marked if auto.root_occurrence(*pair) else join_wexp)
+        for pair, t in table.items()
+    }
+    right_projs = [b & auto.right_mask for b in states]
 
     equations: list[list[Monomial]] = [[] for _ in states]
     equations[index[auto.start()]].append(Monomial(1, base_wexp, ()))
     for i, a in enumerate(states):
         lp = a & auto.left_mask
-        for j, b in enumerate(states):
-            rp = b & auto.right_mask
-            occ = auto.root_occurrence(lp, rp)
-            if occ and not marked:
-                continue
-            t = index[auto.join(lp, rp)]
-            wexp = join_wexp_marked if occ else join_wexp
-            equations[t].append(Monomial(1, wexp, (i, j)))
+        for j, rp in enumerate(right_projs):
+            cell = cells.get((lp, rp))
+            if cell is not None:
+                equations[cell[0]].append(Monomial(1, cell[1], (i, j)))
     return AlgebraicSystem(
         weight_vars=weight_vars,
         unknowns=tuple(auto.state_name(s) for s in states),
@@ -354,7 +375,7 @@ def enumeration_system(pattern: Tree, *, reduced: bool = True, marked: bool = Tr
     return _reduced_occurrence_system(pattern, marked, leaf_weights)
 
 
-def occurrence_state_count(pattern: Tree, marked: bool = True) -> int:
-    """Number of unknowns the reduced construction uses for this pattern."""
-    auto = OccurrenceAutomaton(pattern)
-    return len(auto.reachable_states(marked))
+def occurrence_state_count(pattern: Tree) -> int:
+    """Number of unknowns the marked occurrence system uses for this pattern."""
+    states, _ = OccurrenceAutomaton(pattern).reachable(marked=True)
+    return len(states)

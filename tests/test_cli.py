@@ -65,6 +65,13 @@ class TestGrammarCommand:
         assert code == 0
         assert "T[mxmxx]" in out
 
+    def test_rule_bodies_over_budget(self, capsys):
+        # 51,912 nonterminals fit the default budget; about 1.4e14 bodies do not
+        code, out, err = run(capsys, "grammar", "--alphabet", "m:2,w:3,x:0", "--patterns", "mmmxxxx")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource bound exceeded: ") and err.count("\n") == 1
+
     def test_missing_patterns_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "grammar", "--patterns-file", str(tmp_path / "absent.txt"))
         assert code == 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from treewilf import elim
 from treewilf.elim import (
     COLLAPSE_MEMBER,
     BivarPoly,
@@ -238,6 +239,31 @@ class TestDivides:
             assert annihilates(prod, target, 60)
 
 
+class TestContent:
+    # 3 - 3x + 3x^2 times the Catalan polynomial x - G + x G^2; the negative
+    # coefficient needs a balanced digit
+    POLY = CATALAN_POLY * BivarPoly.from_dict({(0, 0): 3, (0, 1): -3, (0, 2): 3})
+    CONTENT = {(0,): 3, (1,): -3, (2,): 3}
+
+    def test_evaluation_needs_no_remainder_sequence(self, monkeypatch):
+        def unused(p, q):
+            raise AssertionError("the remainder sequence ran")
+
+        monkeypatch.setattr(elim, "univariate_gcd", unused)
+        assert self.POLY.content_and_primitive() == (self.CONTENT, CATALAN_POLY)
+
+    def test_rejected_candidates_fall_back(self, monkeypatch):
+        tried = []
+
+        def wrong_digits(n, bits):
+            tried.append(bits)
+            return {1: 1, 0: 7}  # x + 7 divides none of the G-coefficients
+
+        monkeypatch.setattr(elim, "balanced_digits", wrong_digits)
+        assert self.POLY.content_and_primitive() == (self.CONTENT, CATALAN_POLY)
+        assert len(tried) == 3 and tried == sorted(set(tried))
+
+
 class TestAnnihilates:
     def test_catalan_negative_case(self):
         system = geometric_system()
@@ -370,6 +396,14 @@ class TestAgainstSympy:
 
     @settings(max_examples=50, deadline=None)
     @given(bivars(), x_factors())
+    @example(a=CATALAN_POLY, c=BivarPoly.from_dict({(0, 0): 1}))  # content 1
+    @example(a=CATALAN_POLY, c=BivarPoly.from_dict({(0, 4): 1}))  # a monomial x^k
+    @example(a=BivarPoly.from_dict({(0, 0): 2, (1, 1): 1, (2, 0): 1}),
+             c=BivarPoly.from_dict({(0, 0): 2, (0, 1): -3, (0, 3): 1}))  # three terms
+    @example(a=BivarPoly.from_dict({(0, 0): -6, (0, 1): -6, (1, 1): -3, (1, 2): -3}),
+             c=BivarPoly.from_dict({(0, 0): 1, (0, 2): -4}))  # negative leading coefficient
+    @example(a=BivarPoly.from_dict({(1, 0): 1}),
+             c=BivarPoly.from_dict({(0, 0): -3, (0, 1): 1}))  # at xi = 4, x - 3 would read as 1
     def test_content_and_primitive(self, sp, a, c):
         poly = a * c
         G, x = gens = sp.symbols("G x")

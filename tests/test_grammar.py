@@ -202,6 +202,20 @@ class TestBuildGrammar:
         assert g.rules == tuple(sorted(g.rules, key=rule_key))
         assert len(set(g.rules)) == len(g.rules)
 
+    def test_rule_body_budget_boundary(self):
+        # L_2 of the empty set over {m, w, x} has 37 trees, so 37^2 + 37^3 =
+        # 52022 candidate bodies: within 229^2 = 52441, over 228^2 = 51984
+        empty = PatternSet(MIXED, ())
+        assert len(build_grammar(MIXED, empty, max_nonterminals=229, height=2).nonterminals) == 37
+        with pytest.raises(GrammarSizeError, match="52022 candidate rule bodies exceed the budget of 228"):
+            build_grammar(MIXED, empty, max_nonterminals=228, height=2)
+
+    def test_binary_height_four_within_the_default_budget(self):
+        # |L_d|^2 bodies fit the square of any budget that |L_d| fits; 100000
+        # is the default of the CLI's --max-nonterminals
+        g = build_grammar(BIN, PatternSet.from_words(["mmmmxxxxx"]), max_nonterminals=100000)
+        assert len(g.nonterminals) == 417
+
     @pytest.mark.parametrize("words, height", [(["mmmxxxx"], 1), ([], -1)])
     def test_height_below_d_minus_one_rejected(self, words, height):
         with pytest.raises(ValueError, match="too low"):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from treewilf.grammar import build_grammar
@@ -23,6 +25,7 @@ from treewilf.trees import (
     PatternSet,
     Tree,
     catalan,
+    emit_polish,
     enumerate_binary_patterns,
     height,
     is_rooted_subtree,
@@ -210,6 +213,21 @@ class TestEnumerationSystem:
         with pytest.raises(ValueError):
             enumeration_system(comb7, reduced=False)
         assert occurrence_state_count(comb7) <= 16
+
+    def test_pinned_systems_and_state_counts(self):
+        # the series tests check neither state order nor state names; these
+        # digests pin the text of every 2-7 leaf system in all four forms
+        texts = hashlib.sha256()
+        counts = hashlib.sha256()
+        for leaves in range(2, 8):
+            for pattern in enumerate_binary_patterns(leaves):
+                for marked in (True, False):
+                    for leaf_weights in (False, True):
+                        system = enumeration_system(pattern, marked=marked, leaf_weights=leaf_weights)
+                        texts.update(system.to_text().encode())
+                counts.update(f"{emit_polish(pattern)}:{occurrence_state_count(pattern)}\n".encode())
+        assert texts.hexdigest() == "293dc921682c7de585d2019d55eb709304e2d57ed35200fbec4b22647ac7bdef"
+        assert counts.hexdigest() == "63c1aa3215f4f6b1470303e943d56dd4a37c33282368a66b3fd6a17cdfc524f1"
 
     def test_root_occurrence_depends_only_on_truncations(self):
         for pattern in enumerate_binary_patterns(4):
