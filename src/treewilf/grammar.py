@@ -54,24 +54,27 @@ class Grammar:
     rules: tuple[Rule, ...]
 
     @cached_property
-    def numbered_rules(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
-                                      tuple[tuple[str | int, ...], ...]]:
+    def numbered_rules(self) -> tuple[tuple[int, ...],
+                                      dict[str, list[tuple[int, tuple[str | int, ...]]]]]:
         """The rules with every nonterminal replaced by its index in
-        nonterminals: (start, heads, bodies), where start lists the start
-        symbol's alternatives, heads[v] the body ids of nonterminal v, and
-        bodies[b] body b with terminals kept as labels.  Integer keys spare
-        derivation counting the recursive Tree hash."""
+        nonterminals: (start, by_terminal), where start lists the start
+        symbol's alternatives and by_terminal maps a terminal label to the
+        (head, rest of the body) of every body that begins with it, terminals
+        kept as labels.  Integer keys spare derivation counting the Tree hash.
+        Raises ValueError for a body that does not begin with a terminal;
+        every body build_grammar emits begins with its root label."""
         index = {v: i for i, v in enumerate(self.nonterminals)}
         start: list[int] = []
-        heads: list[list[int]] = [[] for _ in self.nonterminals]
-        bodies: list[tuple[str | int, ...]] = []
+        by_terminal: dict[str, list[tuple[int, tuple[str | int, ...]]]] = {}
         for r in self.rules:
             if r.head is None:
                 start.append(index[r.body[0]])
+            elif not r.body or not isinstance(r.body[0], str):
+                raise ValueError(f"rule body {r.body!r} does not begin with a terminal")
             else:
-                heads[index[r.head]].append(len(bodies))
-                bodies.append(tuple(s if isinstance(s, str) else index[s] for s in r.body))
-        return tuple(start), tuple(map(tuple, heads)), tuple(bodies)
+                rest = tuple(s if isinstance(s, str) else index[s] for s in r.body[1:])
+                by_terminal.setdefault(r.body[0], []).append((index[r.head], rest))
+        return tuple(start), by_terminal
 
     def is_proper(self) -> bool:
         """Every non-start rule body contains at least one terminal."""
@@ -229,44 +232,37 @@ def count_derivations(grammar: Grammar, word: str) -> int:
 
     The word is treated as a plain symbol sequence; nothing about the tree
     structure of the language is assumed, so this is an independent check of
-    unambiguity.  Malformed words count 0.
+    unambiguity.  Malformed words count 0.  Every rule body must begin with a
+    terminal, as every body build_grammar emits does.
     """
     try:
         tokens = grammar.alphabet.tokenize(word)
     except ValueError:
         return 0
     n = len(tokens)
-    start, heads, bodies = grammar.numbered_rules
-    nt_count_cache: dict[tuple[int, int, int], int] = {}
-    seq_cache: dict[tuple[int, int, int, int], int] = {}
-
-    def count_nt(nt: int, i: int, j: int) -> int:
-        key = (nt, i, j)
-        if key in nt_count_cache:
-            return nt_count_cache[key]
-        nt_count_cache[key] = 0  # cycle guard; grammar rules always consume a terminal
-        total = 0
-        for bid in heads[nt]:
-            total += count_seq(bid, 0, i, j)
-        nt_count_cache[key] = total
-        return total
-
-    def count_seq(bid: int, pos: int, i: int, j: int) -> int:
-        body = bodies[bid]
-        if pos == len(body):
-            return 1 if i == j else 0
-        sym = body[pos]
-        if isinstance(sym, str):
-            return count_seq(bid, pos + 1, i + 1, j) if i < j and tokens[i] == sym else 0
-        key = (bid, pos, i, j)
-        if key in seq_cache:
-            return seq_cache[key]
-        result = 0
-        for mid in range(i + 1, j + 1):
-            left = count_nt(sym, i, mid)
-            if left:
-                result += left * count_seq(bid, pos + 1, mid, j)
-        seq_cache[key] = result
-        return result
-
-    return sum(count_nt(nt, 0, n) for nt in start)
+    start, by_terminal = grammar.numbered_rules
+    # spans[i][v] maps each end j to the number of derivations of tokens[i:j]
+    # from nonterminal v.  Every body begins with a terminal, so the rest of
+    # a body starting at i reads spans starting right of i: fill i from the
+    # right, following each body's symbols over every end they can reach.
+    spans: list[dict[int, dict[int, int]]] = [{} for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        for head, rest in by_terminal.get(tokens[i], ()):
+            ends = {i + 1: 1}
+            for sym in rest:
+                nxt: dict[int, int] = {}
+                if isinstance(sym, str):
+                    for mid, ways in ends.items():
+                        if mid < n and tokens[mid] == sym:
+                            nxt[mid + 1] = ways
+                else:
+                    for mid, ways in ends.items():
+                        for j, c in spans[mid].get(sym, {}).items():
+                            nxt[j] = nxt.get(j, 0) + ways * c
+                ends = nxt
+                if not ends:
+                    break
+            counts = spans[i].setdefault(head, {})
+            for j, ways in ends.items():
+                counts[j] = counts.get(j, 0) + ways
+    return sum(spans[0].get(v, {}).get(n, 0) for v in start)

@@ -1,49 +1,27 @@
-"""Exhaustive tree enumeration and brute-force avoidance/occurrence counting.
+"""Brute-force avoidance/occurrence counting over exhaustive tree enumeration.
 
 This is the ground truth for every symbolic construction in the package:
 series solvers, grammars and classification keys are all checked against
-counts produced here by direct enumeration.
+counts produced here from the trees of trees.trees_of_size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Iterator
 
 from .trees import (
     Alphabet,
     PatternSet,
     Tree,
+    _compositions,
     avoids,
     count_occurrences,
     free_end_count,
+    trees_of_size,
     vertex_count,
-    word_key,
 )
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=None)
-def trees_with_internal(alphabet: Alphabet, n_internal: int) -> tuple[Tree, ...]:
-    """All well-formed trees with exactly n_internal internal nodes, sorted by Polish word."""
-    if n_internal == 0:
-        return (Tree(alphabet.free_end),)
-    out = []
-    for label, k in alphabet.internal_labels:
-        for comp in _compositions(n_internal - 1, k):
-            for kids in product(*(trees_with_internal(alphabet, c) for c in comp)):
-                out.append(Tree(label, kids))
-    return tuple(sorted(out, key=lambda t: word_key(t, alphabet)))
 
 
 def enumerate_trees(alphabet: Alphabet, max_internal: int) -> Iterator[Tree]:
@@ -52,7 +30,7 @@ def enumerate_trees(alphabet: Alphabet, max_internal: int) -> Iterator[Tree]:
     if max_internal < 0:
         raise ValueError("max_internal must be >= 0")
     for i in range(max_internal + 1):
-        yield from trees_with_internal(alphabet, i)
+        yield from trees_of_size(alphabet, i)
 
 
 @lru_cache(maxsize=None)
@@ -71,23 +49,10 @@ def internal_count_totals(alphabet: Alphabet, max_internal: int) -> tuple[int, .
     return tuple(counts)
 
 
-@lru_cache(maxsize=None)
 def trees_up_to_word_length(alphabet: Alphabet, max_len: int) -> tuple[Tree, ...]:
-    """All trees whose Polish word has at most max_len symbols (vertex count bound)."""
-    by_vertices: dict[int, list[Tree]] = {1: [Tree(alphabet.free_end)]}
-    for v in range(2, max_len + 1):
-        layer: list[Tree] = []
-        for label, k in alphabet.internal_labels:
-            for comp in _compositions(v - 1 - k, k):
-                sizes = tuple(c + 1 for c in comp)
-                pools = [by_vertices.get(s, []) for s in sizes]
-                for kids in product(*pools):
-                    layer.append(Tree(label, kids))
-        by_vertices[v] = layer
-    out: list[Tree] = []
-    for v in range(1, max_len + 1):
-        out.extend(sorted(by_vertices.get(v, []), key=lambda t: word_key(t, alphabet)))
-    return tuple(out)
+    """All trees whose Polish word has at most max_len symbols (vertex count bound),
+    by vertex count and then lexicographically on Polish words."""
+    return tuple(t for v in range(1, max_len + 1) for t in trees_of_size(alphabet, v, 1))
 
 
 @dataclass

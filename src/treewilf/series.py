@@ -485,34 +485,6 @@ def _solve(system: AlgebraicSystem, order: int, width: int):
                                 for n in range(order + 1)]
 
 
-def verify_solution(system: AlgebraicSystem, solutions: dict[str, TruncatedSeries],
-                    order: int) -> bool:
-    """Plug the solved series back into every equation; true iff all match
-    modulo primary^(order+1).  Uses TruncatedSeries arithmetic, a separate
-    code path from the solver's convolution loops."""
-    variables = tuple(system.weight_vars)
-    nvars = len(variables)
-
-    def monomial_series(m: Monomial) -> TruncatedSeries:
-        if nvars == 1:
-            base = TruncatedSeries(variables, order,
-                                   dense=tuple(0 if i != m.wexp[0] else m.coeff
-                                               for i in range(order + 1)))
-        else:
-            base = TruncatedSeries(variables, order, sparse={tuple(m.wexp): m.coeff})
-        for f in m.factors:
-            base = base * solutions[system.unknowns[f]].restrict(order)
-        return base
-
-    for ui, eq in enumerate(system.equations):
-        rhs = TruncatedSeries.zero(variables, order)
-        for m in eq:
-            rhs = rhs + monomial_series(m)
-        if rhs != solutions[system.unknowns[ui]].restrict(order):
-            return False
-    return True
-
-
 # -- pattern series pipeline ------------------------------------------------------
 
 

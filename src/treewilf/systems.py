@@ -281,13 +281,6 @@ class OccurrenceAutomaton:
     def root_occurrence(self, left_proj: int, right_proj: int) -> bool:
         return bool(left_proj & self.p_left_bit) and bool(right_proj & self.p_right_bit)
 
-    def state_of(self, tree: Tree) -> int:
-        if tree.is_free_end():
-            return self.start()
-        a = self.state_of(tree.children[0]) & self.left_mask
-        b = self.state_of(tree.children[1]) & self.right_mask
-        return self.join(a, b)
-
     def reachable(self, marked: bool) -> tuple[list[int], dict[tuple[int, int], int]]:
         """All states reachable from the free-end state, in word order, and
         the transition table {(left projection, right projection): state}

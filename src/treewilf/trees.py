@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import product
 from typing import Iterator, Sequence
 
 
@@ -111,60 +112,65 @@ class Tree:
 def parse_polish(word: str | Sequence[str], alphabet: Alphabet) -> Tree:
     """Parse a Polish-notation word into the unique tree with that preorder label sequence."""
     tokens = alphabet.tokenize(word) if isinstance(word, str) else list(word)
-    pos = 0
-
-    def build() -> Tree:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("word ended before all arities were satisfied", pos)
-        label = tokens[pos]
-        if label not in alphabet.arities:
+    arities = alphabet.arities
+    open_nodes: list[tuple[str, int, list[Tree]]] = []  # label, arity, children so far
+    for pos, label in enumerate(tokens):
+        if label not in arities:
             raise ParseError(f"unknown symbol {label!r}", pos)
-        pos += 1
-        k = alphabet.arities[label]
-        return Tree(label, tuple(build() for _ in range(k)))
+        if arities[label]:
+            open_nodes.append((label, arities[label], []))
+            continue
+        # a free end completes its parent, which may complete its own, and so on
+        node = Tree(label)
+        while open_nodes:
+            parent, k, kids = open_nodes[-1]
+            kids.append(node)
+            if len(kids) < k:
+                break
+            open_nodes.pop()
+            node = Tree(parent, tuple(kids))
+        if not open_nodes:
+            if pos + 1 < len(tokens):
+                raise ParseError("trailing symbols after a complete tree", pos + 1)
+            return node
+    raise ParseError("word ended before all arities were satisfied", len(tokens))
 
-    tree = build()
-    if pos != len(tokens):
-        raise ParseError("trailing symbols after a complete tree", pos)
-    return tree
+
+def subtrees(tree: Tree) -> list[Tree]:
+    """All rooted subtrees at vertices of tree, in preorder (with repetition).
+
+    The tree layer's one walk.  It keeps an explicit stack, so no depth
+    limit applies: each subtree taken off the stack is followed down its
+    leftmost branch while the other children wait on the stack."""
+    out: list[Tree] = []
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        while t.children:
+            stack += t.children[:0:-1]
+            t = t.children[0]
+            out.append(t)
+    return out
 
 
 def emit_polish(tree: Tree) -> str:
     """Preorder label sequence; inverse of parse_polish."""
-    parts: list[str] = []
-
-    def walk(t: Tree) -> None:
-        parts.append(t.label)
-        for c in t.children:
-            walk(c)
-
-    walk(tree)
-    return "".join(parts)
+    return "".join([t.label for t in subtrees(tree)])
 
 
 def word_key(tree: Tree, alphabet: Alphabet) -> tuple[int, ...]:
     """Preorder label indices; the canonical sort key for trees (lexicographic on Polish words)."""
     idx = alphabet.label_index
-    out: list[int] = []
-
-    def walk(t: Tree) -> None:
-        out.append(idx[t.label])
-        for c in t.children:
-            walk(c)
-
-    walk(tree)
-    return tuple(out)
+    return tuple([idx[t.label] for t in subtrees(tree)])
 
 
 def vertex_count(tree: Tree) -> int:
-    return 1 + sum(vertex_count(c) for c in tree.children)
+    return len(subtrees(tree))
 
 
 def free_end_count(tree: Tree) -> int:
-    if tree.is_free_end():
-        return 1
-    return sum(free_end_count(c) for c in tree.children)
+    return sum(1 for t in subtrees(tree) if t.is_free_end())
 
 
 def height(tree: Tree) -> int:
@@ -179,21 +185,19 @@ def graft(host: Tree, leaf_index: int, scion: Tree) -> Tree:
     n = free_end_count(host)
     if not 0 <= leaf_index < n:
         raise ValueError(f"leaf index {leaf_index} out of range, host has {n} free ends")
-
-    def rebuild(t: Tree, skip: int) -> tuple[Tree, int]:
-        if t.is_free_end():
-            if skip == 0:
-                return scion, -1
-            return t, skip - 1
-        kids = []
-        for c in t.children:
-            if skip >= 0:
-                c, skip = rebuild(c, skip)
-            kids.append(c)
-        return Tree(t.label, tuple(kids)), skip
-
-    out, _ = rebuild(host, leaf_index)
-    return out
+    path: list[tuple[Tree, int]] = []  # each node above that free end, with the child taken
+    t = host
+    while t.children:
+        for i, c in enumerate(t.children):
+            ends = free_end_count(c)
+            if leaf_index < ends:
+                break
+            leaf_index -= ends
+        path.append((t, i))
+        t = c
+    for t, i in reversed(path):
+        scion = Tree(t.label, t.children[:i] + (scion,) + t.children[i + 1:])
+    return scion
 
 
 def is_rooted_subtree(t: Tree, v: Tree) -> bool:
@@ -211,14 +215,11 @@ def occurs_at_root(tree: Tree, patterns: Sequence[Tree]) -> bool:
 
 def count_occurrences(tree: Tree, pattern: Tree) -> int:
     """Number of vertices u of tree (root included) whose rooted subtree contains pattern."""
-    total = 1 if is_rooted_subtree(pattern, tree) else 0
-    return total + sum(count_occurrences(c, pattern) for c in tree.children)
+    return sum(1 for t in subtrees(tree) if is_rooted_subtree(pattern, t))
 
 
 def avoids(tree: Tree, patterns: Sequence[Tree]) -> bool:
-    if occurs_at_root(tree, patterns):
-        return False
-    return all(avoids(c, patterns) for c in tree.children)
+    return not any(occurs_at_root(t, patterns) for t in subtrees(tree))
 
 
 def mirror(tree: Tree) -> Tree:
@@ -243,31 +244,44 @@ def _free_end_label(tree: Tree) -> str:
     return t.label
 
 
-def subtrees(tree: Tree) -> Iterator[Tree]:
-    """All rooted subtrees at vertices of tree, in preorder (with repetition)."""
-    yield tree
-    for c in tree.children:
-        yield from subtrees(c)
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
-def _binary_trees(n_leaves: int) -> tuple[Tree, ...]:
-    if n_leaves == 1:
-        return (Tree("x"),)
-    out = []
-    for left_leaves in range(1, n_leaves):
-        for a in _binary_trees(left_leaves):
-            for b in _binary_trees(n_leaves - left_leaves):
-                out.append(Tree("m", (a, b)))
-    return tuple(out)
+# (alphabet, leaf_size) -> the layers built so far, indexed by size
+_LAYERS: dict[tuple[Alphabet, int], list[tuple[Tree, ...]]] = {}
+
+
+def trees_of_size(alphabet: Alphabet, size: int, leaf_size: int = 0) -> tuple[Tree, ...]:
+    """Every tree of the given size over alphabet, sorted by Polish word.
+
+    A tree's size is its number of internal nodes, plus its number of free
+    ends when leaf_size is 1 (then it is the vertex count, the length of
+    the Polish word).  Layers are built bottom-up once and cached."""
+    if size < 0 or leaf_size not in (0, 1):
+        raise ValueError(f"need size >= 0 and leaf_size 0 or 1, got {size}, {leaf_size}")
+    layers = _LAYERS.setdefault((alphabet, leaf_size), [])
+    while len(layers) <= size:
+        s = len(layers)
+        out = [Tree(alphabet.free_end)] if s == leaf_size else []
+        if s:  # a root of size 1 over children whose sizes sum to s - 1
+            for label, k in alphabet.internal_labels:
+                for comp in _compositions(s - 1, k):
+                    out += (Tree(label, kids) for kids in product(*(layers[c] for c in comp)))
+        layers.append(tuple(sorted(out, key=lambda t: word_key(t, alphabet))))
+    return layers[size]
 
 
 def enumerate_binary_patterns(n_leaves: int) -> list[Tree]:
     """All planar binary trees with n_leaves leaves over {m, x}, sorted by Polish word."""
     if n_leaves < 1:
         raise ValueError("need at least one leaf")
-    alphabet = Alphabet.binary()
-    return sorted(_binary_trees(n_leaves), key=lambda t: word_key(t, alphabet))
+    return list(trees_of_size(Alphabet.binary(), n_leaves - 1))
 
 
 def catalan(n: int) -> int:

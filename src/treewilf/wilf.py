@@ -112,7 +112,10 @@ def _sweep_worker(args) -> tuple[str, list[bytes]]:
     try:
         series = en_series(tree, top) if mode == "en" else av_series(tree, top)
     except Exception as exc:
-        raise RuntimeError(f"solving pattern {word} ({mode}, K={top}) failed: {exc!r}") from exc
+        kind = RuntimeError
+        if isinstance(exc, (OverflowError, MemoryError, RecursionError)):
+            kind = type(exc)  # a resource error keeps its class, so the CLI exits 3 on it
+        raise kind(f"solving pattern {word} ({mode}, K={top}) failed: {exc!r}") from exc
     return word, [series.restrict(k).serialize().encode() for k in orders]
 
 

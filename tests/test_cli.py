@@ -292,6 +292,20 @@ class TestUsageErrors:
         assert code == 3
         assert out == "" and err.startswith("resource bound exceeded:")
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv, pattern", [
+        (["classify", "-n", "2", "-K", "100000000000000000000", "--quiet"], "mxx"),
+        (["stabilize", "-n", "2", "--orders", "4,100000000000000000000"], "mxx"),
+        # five 4-leaf patterns give three mirror representatives, so two workers run a pool
+        (["classify", "-n", "4", "-K", "100000000000000000000", "--quiet"], "m[mx]+"),
+    ], ids=["classify", "stabilize", "classify-4-leaves"])
+    def test_sweep_order_too_large_to_allocate(self, capsys, argv, pattern, workers):
+        code, out, err = run(capsys, *argv, "--workers", workers)
+        assert code == 3
+        assert out == "" and err.count("\n") == 1
+        assert re.match(rf"resource bound exceeded: solving pattern {pattern} "
+                        r"\(av, K=100000000000000000000\) failed: OverflowError", err)
+
     def test_out_of_memory_exits_3(self, capsys, monkeypatch):
         def exhausted(pattern, order):
             raise MemoryError

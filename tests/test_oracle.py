@@ -1,3 +1,7 @@
+import hashlib
+
+import pytest
+
 from treewilf.oracle import (
     brute_histogram,
     count_avoiders,
@@ -5,9 +9,18 @@ from treewilf.oracle import (
     enumerate_trees,
     internal_count_totals,
     trees_up_to_word_length,
-    trees_with_internal,
 )
-from treewilf.trees import Alphabet, PatternSet, Tree, catalan, emit_polish, parse_polish, vertex_count
+from treewilf.trees import (
+    Alphabet,
+    PatternSet,
+    Tree,
+    catalan,
+    emit_polish,
+    enumerate_binary_patterns,
+    parse_polish,
+    trees_of_size,
+    vertex_count,
+)
 
 BIN = Alphabet.binary()
 MIXED = Alphabet(labels=(("m", 2), ("w", 3), ("x", 0)), free_end="x")
@@ -23,7 +36,7 @@ class TestEnumeration:
 
     def test_layers_are_catalan(self):
         for i in range(8):
-            assert len(trees_with_internal(BIN, i)) == catalan(i)
+            assert len(trees_of_size(BIN, i)) == catalan(i)
 
     def test_no_duplicates(self):
         seen = [emit_polish(t) for t in enumerate_trees(MIXED, 4)]
@@ -33,7 +46,7 @@ class TestEnumeration:
         for alphabet, bound in ((BIN, 7), (MIXED, 5)):
             totals = internal_count_totals(alphabet, bound)
             for i in range(bound + 1):
-                assert len(trees_with_internal(alphabet, i)) == totals[i]
+                assert len(trees_of_size(alphabet, i)) == totals[i]
 
     def test_word_length_enumeration(self):
         for alphabet in (BIN, MIXED):
@@ -48,6 +61,40 @@ class TestEnumeration:
                 if vertex_count(t) <= 9
             }
             assert set(words) == by_internal
+
+    @pytest.mark.parametrize("trees, digest", [
+        pytest.param(lambda: (t for n in range(1, 11) for t in enumerate_binary_patterns(n)),
+                     "6c5a34dd06dbcfba4e2e77a93b70f2265ad20ae4dd00bfc49ac03ee9f1236051",
+                     id="binary-patterns-1..10"),
+        pytest.param(lambda: enumerate_trees(BIN, 8),
+                     "b36f924917676d59159281d39b659ca54662db87e9856cd3be7c1aa517786076",
+                     id="binary-internal-8"),
+        pytest.param(lambda: enumerate_trees(MIXED, 5),
+                     "970ae4036f4dc30540a4f73aa15a4b2faa69211a7662e1c986a9fa85f96fc666",
+                     id="mixed-internal-5"),
+        pytest.param(lambda: trees_up_to_word_length(MIXED, 11),
+                     "a7e5a0cdfd8a29b3aea477e06dcb438909cb692534ef185cf782d961b199585f",
+                     id="mixed-word-length-11"),
+    ])
+    def test_pinned_order(self, trees, digest):
+        # sha256 of the Polish words joined by newlines, as the per-grading
+        # builders that trees_of_size replaced produced them
+        words = "\n".join(emit_polish(t) for t in trees())
+        assert hashlib.sha256(words.encode()).hexdigest() == digest
+
+    def test_vertex_grading_is_not_a_filter(self):
+        # trees with at most 15 vertices need 7 internal nodes over m:2,w:3,x:0,
+        # where the internal grading would build 351,679 trees
+        assert sum(len(trees_of_size(MIXED, v, 1)) for v in range(16)) == 11223
+        assert sum(internal_count_totals(MIXED, 7)) == 351679
+
+    def test_size_arguments(self):
+        assert trees_of_size(BIN, 0, 1) == ()
+        assert trees_of_size(BIN, 1, 1) == (Tree("x"),)
+        assert trees_of_size(BIN, 2, 1) == ()
+        for bad in ((-1, 0), (2, 2)):
+            with pytest.raises(ValueError):
+                trees_of_size(BIN, *bad)
 
 
 class TestHistogram:

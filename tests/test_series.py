@@ -16,7 +16,6 @@ from treewilf.series import (
     en_slice_y0,
     solve_truncated,
     to_operad_series,
-    verify_solution,
 )
 from treewilf.systems import AlgebraicSystem, Monomial, cs_system, enumeration_system, stamp_system
 from treewilf.trees import (
@@ -34,6 +33,34 @@ BIN = Alphabet.binary()
 MIXED = Alphabet(labels=(("m", 2), ("w", 3), ("x", 0)), free_end="x")
 
 small_coeffs = st.lists(st.integers(-50, 50), min_size=1, max_size=8)
+
+
+def verify_solution(system: AlgebraicSystem, solutions: dict[str, TruncatedSeries],
+                    order: int) -> bool:
+    """Plug the solved series back into every equation; true iff all match
+    modulo primary^(order+1).  Uses TruncatedSeries arithmetic, a separate
+    code path from the solver's convolution loops."""
+    variables = tuple(system.weight_vars)
+    nvars = len(variables)
+
+    def monomial_series(m: Monomial) -> TruncatedSeries:
+        if nvars == 1:
+            base = TruncatedSeries(variables, order,
+                                   dense=tuple(0 if i != m.wexp[0] else m.coeff
+                                               for i in range(order + 1)))
+        else:
+            base = TruncatedSeries(variables, order, sparse={tuple(m.wexp): m.coeff})
+        for f in m.factors:
+            base = base * solutions[system.unknowns[f]].restrict(order)
+        return base
+
+    for ui, eq in enumerate(system.equations):
+        rhs = TruncatedSeries.zero(variables, order)
+        for m in eq:
+            rhs = rhs + monomial_series(m)
+        if rhs != solutions[system.unknowns[ui]].restrict(order):
+            return False
+    return True
 
 
 def uni(coeffs, order=10):

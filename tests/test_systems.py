@@ -157,11 +157,22 @@ class TestStampSystem:
             assert to_operad_series(cs_target).restrict(20) == stamp_target
 
 
+class TreeAutomaton(OccurrenceAutomaton):
+    """The automaton run over a whole tree, for checking its states against brute force."""
+
+    def state_of(self, tree: Tree) -> int:
+        if tree.is_free_end():
+            return self.start()
+        a = self.state_of(tree.children[0]) & self.left_mask
+        b = self.state_of(tree.children[1]) & self.right_mask
+        return self.join(a, b)
+
+
 class TestOccurrenceAutomaton:
     @pytest.mark.parametrize("word", ["mxx", "mmxxx", "mxmxmxx", "mmxxmxx"])
     def test_state_tracks_embeddings(self, word):
         pattern = parse_polish(word, BIN)
-        auto = OccurrenceAutomaton(pattern)
+        auto = TreeAutomaton(pattern)
         for tree in enumerate_trees(BIN, 5):
             mask = auto.state_of(tree)
             for i, sub in enumerate(auto.subs):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -92,6 +94,32 @@ class TestParseEmit:
         with pytest.raises(ParseError) as err:
             parse_polish("mqx", BIN)
         assert err.value.position == 1
+
+    @pytest.mark.parametrize("tokens, message, position", [
+        # a complete tree ends the parse: the unknown label after it is trailing
+        (["m", "x", "x", "q"], "trailing symbols after a complete tree", 3),
+        (["m", "x", "m", "x", "x", "x", "q"], "trailing symbols after a complete tree", 5),
+        (["x", "x"], "trailing symbols after a complete tree", 1),
+        (["m", "q", "x"], "unknown symbol 'q'", 1),
+        (["q"], "unknown symbol 'q'", 0),
+        (["m", "x"], "word ended before all arities were satisfied", 2),
+        ([], "word ended before all arities were satisfied", 0),
+    ])
+    def test_token_sequence_errors(self, tokens, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_polish(tokens, BIN)
+        assert str(err.value) == f"{message} (position {position})"
+        assert err.value.position == position
+
+    def test_walk_has_no_depth_limit(self):
+        depth = 5 * sys.getrecursionlimit()
+        word = "m" * depth + "x" * (depth + 1)
+        t = parse_polish(word, BIN)
+        assert emit_polish(t) == word
+        assert word_key(t, BIN) == (0,) * depth + (1,) * (depth + 1)
+        assert vertex_count(t) == 2 * depth + 1
+        assert free_end_count(t) == count_occurrences(t, X) - depth == depth + 1
+        assert emit_polish(graft(t, depth, m(X, X))) == word[:-1] + "mxx"
 
     def test_emit(self):
         assert emit_polish(m(X, X)) == "mxx"
