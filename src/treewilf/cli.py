@@ -176,7 +176,7 @@ def cmd_inspect(args) -> int:
     except EliminationError as exc:
         print(f"annihilator    skipped ({exc})")
     else:
-        _, target = solve_truncated(system, 60)
+        _, target = solve_truncated(system, 60, include_unknowns=False)
         ok = annihilates(poly, target, 60)
         tag = "verified" if ok else "NOT ANNIHILATING (bug)"
         print(f"annihilator    {poly.pretty()}   [{tag}]")
@@ -231,7 +231,7 @@ def cmd_eliminate(args) -> int:
     system = cs_system(build_grammar(alphabet, patterns, max_nonterminals=args.max_nonterminals))
     poly = eliminate(system, max_unknowns=args.max_unknowns, deadline_seconds=args.deadline)
     print(poly.pretty())
-    _, target = solve_truncated(system, args.check_order)
+    _, target = solve_truncated(system, args.check_order, include_unknowns=False)
     ok = annihilates(poly, target, args.check_order)
     print(f"annihilation self-check at order {args.check_order}: {'pass' if ok else 'FAIL'}",
           file=sys.stderr)
@@ -240,7 +240,9 @@ def cmd_eliminate(args) -> int:
 
 def cmd_verify(args) -> int:
     _at_least(1, args, "--max-len")
-    _at_least(0, args, "--max-leaves", "--max-nodes")
+    # the oracle, mirror and systems suites take patterns with 2..max_leaves leaves
+    _at_least(2 if args.suite in ("all", "oracle", "mirror", "systems") else 0, args, "--max-leaves")
+    _at_least(0, args, "--max-nodes")
 
     def pattern_set() -> tuple[Alphabet, PatternSet]:
         alphabet = _alphabet(args)

@@ -8,14 +8,12 @@ counts produced here from the trees of trees.trees_of_size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .trees import (
     Alphabet,
     PatternSet,
     Tree,
-    _compositions,
     avoids,
     count_occurrences,
     free_end_count,
@@ -31,22 +29,6 @@ def enumerate_trees(alphabet: Alphabet, max_internal: int) -> Iterator[Tree]:
         raise ValueError("max_internal must be >= 0")
     for i in range(max_internal + 1):
         yield from trees_of_size(alphabet, i)
-
-
-@lru_cache(maxsize=None)
-def internal_count_totals(alphabet: Alphabet, max_internal: int) -> tuple[int, ...]:
-    """Number of trees per internal-node count, by the recurrence alone (no enumeration)."""
-    counts = [1]
-    for i in range(1, max_internal + 1):
-        total = 0
-        for _, k in alphabet.internal_labels:
-            for comp in _compositions(i - 1, k):
-                prod = 1
-                for c in comp:
-                    prod *= counts[c]
-                total += prod
-        counts.append(total)
-    return tuple(counts)
 
 
 def trees_up_to_word_length(alphabet: Alphabet, max_len: int) -> tuple[Tree, ...]:

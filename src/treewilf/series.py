@@ -197,20 +197,27 @@ class TruncatedSeries:
 
 
 def _compile_plan(system: AlgebraicSystem):
-    """Turn equations into evaluation instructions with shared sum/chain nodes.
+    """Turn equations into one schedule with shared sum/chain nodes.
 
     Series ids 0..U-1 are the unknowns; higher ids are auxiliary nodes in
     creation order: sum nodes (linear combinations, updated after the
     unknowns each degree) and chain nodes (partial products for monomials
     with three or more factors, updated before the unknowns each degree).
     Products are numbered once across all equations by (shift, operands),
-    so a product two equations share is convolved once.
+    so a product two equations share is convolved once.  The schedule is
+    (constants, terms, feeds), with a and b the exponents of x and y:
+      constants  (unknown, a, b, coeff)
+      terms      (unknown, a, b, coeff, src)  -- src an unknown or a chain node
+      feeds[p]   [(unknown, b, coeff), ...]   -- the rows product p adds into
     """
     n_unknowns = system.n_unknowns
     nodes: list[tuple[str, tuple]] = []
     sum_ids: dict[tuple[int, ...], int] = {}
     chain_ids: dict[tuple[int, int], int] = {}
     products: dict[tuple[int, int, int], int] = {}
+    constants: list[tuple[int, int, int, int]] = []
+    terms: list[tuple[int, int, int, int, int]] = []
+    feeds: list[list[tuple[int, int, int]]] = []
 
     def sum_node(members: tuple[int, ...]) -> int:
         if len(members) == 1:
@@ -227,36 +234,33 @@ def _compile_plan(system: AlgebraicSystem):
             nodes.append(("chain", key))
         return chain_ids[key]
 
-    def product(a: int, left: int, right: int) -> int:
+    def product(a: int, left: int, right: int) -> list[tuple[int, int, int]]:
         # the convolution slice is symmetric in its operands
-        return products.setdefault((a, min(left, right), max(left, right)), len(products))
+        key = (a, min(left, right), max(left, right))
+        if key not in products:
+            products[key] = len(feeds)
+            feeds.append([])
+        return feeds[products[key]]
 
-    # instruction tuples, per equation:
-    #   ("const", a, b, coeff)
-    #   ("term",  a, b, coeff, src)     -- read an unknown's or a chain node's slice
-    #   ("prod",  a, b, coeff, p)       -- read product p's convolution slice
-    plans: list[list[tuple]] = []
-    for eq in system.equations:
-        instrs: list[tuple] = []
+    for ui, eq in enumerate(system.equations):
         quads: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for m in eq:
             a = m.wexp[0]
             b = m.wexp[1] if len(m.wexp) > 1 else 0
             k = len(m.factors)
             if k == 0:
-                instrs.append(("const", a, b, m.coeff))
+                constants.append((ui, a, b, m.coeff))
             elif k == 1:
-                instrs.append(("term", a, b, m.coeff, m.factors[0]))
+                terms.append((ui, a, b, m.coeff, m.factors[0]))
             elif k == 2 and m.coeff == 1:
                 quads.setdefault((a, b), []).append((m.factors[0], m.factors[1]))
             elif k == 2:
-                instrs.append(("prod", a, b, m.coeff, product(a, *m.factors)))
+                product(a, *m.factors).append((ui, b, m.coeff))
             else:
                 node = m.factors[0]
-                for f in m.factors[1:-1]:
+                for f in m.factors[1:]:
                     node = chain_node(node, f)
-                node = chain_node(node, m.factors[-1])
-                instrs.append(("term", a, b, m.coeff, node))
+                terms.append((ui, a, b, m.coeff, node))
         for (a, b), pairs in sorted(quads.items()):
             rows: dict[int, list[int]] = {}
             for f0, f1 in pairs:
@@ -266,10 +270,8 @@ def _compile_plan(system: AlgebraicSystem):
                 by_cols.setdefault(tuple(sorted(cols)), []).append(f0)
             for cols, row_members in sorted(by_cols.items()):
                 left = sum_node(tuple(sorted(row_members)))
-                right = sum_node(cols)
-                instrs.append(("prod", a, b, 1, product(a, left, right)))
-        plans.append(instrs)
-    return plans, nodes, list(products)
+                product(a, left, sum_node(cols)).append((ui, b, 1))
+    return (constants, terms, feeds), nodes, list(products)
 
 
 def _group_products(products: list[tuple[int, int, int]], shared: bool):
@@ -411,30 +413,37 @@ def _solve(system: AlgebraicSystem, order: int, width: int):
     into one integer.  A univariate system groups its products by a shared
     operand, packs the partners' rows side by side, and reads every
     product of a group off the slots of one convolution; width 0 (the
-    majorant itself) keeps every product on its own.
+    majorant itself) keeps every product on its own.  Constants go into
+    their rows before the first degree; each degree then adds every
+    product and term straight into the rows it feeds.
     """
-    plans, nodes, products = _compile_plan(system)
+    (constants, terms, feeds), nodes, products = _compile_plan(system)
     groups = _group_products(products, shared=len(system.weight_vars) == 1 and width > 0)
     n_unknowns = system.n_unknowns
     n_series = n_unknowns + len(nodes)
 
     zero = _bigint(0)
     store = [[zero] * (order + 1) for _ in range(n_series)]
-    value = [zero] * len(products)  # each product's slice at the current degree
+    for ui, a, b, coeff in constants:
+        if a <= order:  # a constant past the order is truncated away
+            store[ui][a] += _bigint(coeff) << (b * width)
+    terms = [(store[ui], a, b * width, coeff, store[src]) for ui, a, b, coeff, src in terms]
 
     chain_nodes = [(n_unknowns + i, spec) for i, (kind, spec) in enumerate(nodes) if kind == "chain"]
     sum_rows = [(store[n_unknowns + i], [store[m] for m in spec])
                 for i, (kind, spec) in enumerate(nodes) if kind == "sum"]
     # a group of one convolves its partner's own row; a larger one a packed row
-    # holding its partners' coefficients side by side, width bits apart
-    singles, multis = [], []
+    # holding its partners' coefficients side by side, width bits apart, and
+    # each slot of its convolution feeds the rows of that slot's product
+    convolutions, packed = [], []
     for a, operand, members in groups:
+        slots = [[(store[ui], b * width, coeff) for ui, b, coeff in feeds[p]] for _, p in members]
         if len(members) == 1:
-            ((partner, p),) = members
-            singles.append((a, store[partner], store[operand], p))
+            row = store[members[0][0]]
         else:
-            multis.append((a, [zero] * (order + 1), store[operand], [p for _, p in members],
-                           [store[partner] for partner, _ in members]))
+            row = [zero] * (order + 1)
+            packed.append((row, [store[partner] for partner, _ in members]))
+        convolutions.append((a, row, store[operand], slots))
     mask = (1 << width) - 1
 
     def conv_slice(L, R, m):
@@ -443,46 +452,35 @@ def _solve(system: AlgebraicSystem, order: int, width: int):
     for n in range(1, order + 1):
         for cid, (left, right) in chain_nodes:
             store[cid][n] = conv_slice(store[left], store[right], n)
-        for a, row, other, p in singles:
-            if n - a >= 2:
-                value[p] = conv_slice(row, other, n - a)
-        for a, row, other, ps, _ in multis:
-            if n - a >= 2:
-                c = conv_slice(row, other, n - a)
-                for p in ps:
-                    value[p] = c & mask
-                    c >>= width
-                if c:
-                    raise ArithmeticError(
-                        f"a shared-factor convolution at degree {n} overflows its "
-                        f"{width}-bit slots"
-                    )
-        for ui in range(n_unknowns):
-            acc = zero
-            for instr in plans[ui]:
-                kind = instr[0]
-                if kind == "const":
-                    _, a, b, coeff = instr
-                    if a == n:
-                        acc += _bigint(coeff) << (b * width)
-                elif kind == "term":
-                    _, a, b, coeff, src = instr
-                    if n >= a:
-                        acc += (coeff * store[src][n - a]) << (b * width)
-                else:  # prod; a product's slice is zero until n - a >= 2
-                    _, a, b, coeff, p = instr
-                    acc += (coeff * value[p]) << (b * width)
-            store[ui][n] = acc
+        for a, row, other, slots in convolutions:
+            if n - a < 2:  # a product's slice is zero until n - a >= 2
+                continue
+            c = conv_slice(row, other, n - a)
+            if len(slots) == 1:
+                for dest, shift, coeff in slots[0]:
+                    dest[n] += (coeff * c) << shift
+                continue
+            for slot in slots:
+                v = c & mask
+                c >>= width
+                for dest, shift, coeff in slot:
+                    dest[n] += (coeff * v) << shift
+            if c:
+                raise ArithmeticError(f"a shared-factor convolution at degree {n} "
+                                      f"overflows its {width}-bit slots")
+        for dest, a, shift, coeff, src in terms:
+            if n >= a:
+                dest[n] += (coeff * src[n - a]) << shift
         for row, member_rows in sum_rows:
             row[n] = sum([r[n] for r in member_rows])
-        for _, row, _, _, partner_rows in multis:
+        for row, partner_rows in packed:
             v = zero
             for j, prow in enumerate(partner_rows):
                 v += prow[n] << (j * width)
             row[n] = v
 
-    return store[:n_unknowns], [sum((store[ui][n] for ui in system.target), zero)
-                                for n in range(order + 1)]
+    rows = store[:n_unknowns]
+    return rows, [sum(column, zero) for column in zip(*(rows[ui] for ui in system.target))]
 
 
 # -- pattern series pipeline ------------------------------------------------------

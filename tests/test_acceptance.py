@@ -12,9 +12,9 @@ occurrence-marked sweep.
 import time
 from functools import lru_cache
 
+from test_oracle import internal_count_totals  # pytest puts tests/ on sys.path
 from treewilf import verify
 from treewilf.grammar import build_grammar
-from treewilf.oracle import internal_count_totals
 from treewilf.series import av_series, en_series, solve_truncated
 from treewilf.systems import cs_system, stamp_system
 from treewilf.trees import (

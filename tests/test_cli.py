@@ -263,12 +263,6 @@ class TestVerifyCommand:
         assert code == 0
         assert out.startswith(f"{suite} suite: pass")
 
-    @pytest.mark.parametrize("suite", ["oracle", "mirror", "systems"])
-    def test_max_leaves_below_two(self, capsys, suite):
-        code, out, err = run(capsys, "verify", "--suite", suite, "--max-leaves", "1")
-        assert code == 1
-        assert out == "" and "at least 2 leaves" in err
-
     def test_all_suites_report_counts(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all")
         assert code == 0
@@ -325,6 +319,20 @@ class TestUsageErrors:
         code, out, err = run(capsys, "verify", "--suite", "grammar", f"{flag}={value}")
         assert code == 1
         assert out == "" and err == f"error: {flag} must be at least {minimum}, got {value}\n"
+
+    @pytest.mark.parametrize("suite", ["oracle", "mirror", "systems", "all"])
+    def test_max_leaves_below_two(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-leaves", "1")
+        assert code == 1
+        assert out == "" and err == "error: --max-leaves must be at least 2, got 1\n"
+
+    @pytest.mark.parametrize("suite, bound", [("grammar", "--max-len=5"),
+                                              ("partition", "--max-nodes=3"),
+                                              ("eq12", "--max-nodes=3")])
+    def test_max_leaves_ignored_by_other_suites(self, capsys, suite, bound):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-leaves", "1", bound)
+        assert code == 0 and err == ""
+        assert out.startswith(f"{suite} suite: pass")
 
     @pytest.mark.parametrize("argv, message", [
         (["stabilize", "-n", "1"], "at least 2 leaves"),

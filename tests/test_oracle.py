@@ -1,4 +1,5 @@
 import hashlib
+from functools import lru_cache
 
 import pytest
 
@@ -7,13 +8,13 @@ from treewilf.oracle import (
     count_avoiders,
     count_avoiders_by_leaves,
     enumerate_trees,
-    internal_count_totals,
     trees_up_to_word_length,
 )
 from treewilf.trees import (
     Alphabet,
     PatternSet,
     Tree,
+    _compositions,
     catalan,
     emit_polish,
     enumerate_binary_patterns,
@@ -24,6 +25,22 @@ from treewilf.trees import (
 
 BIN = Alphabet.binary()
 MIXED = Alphabet(labels=(("m", 2), ("w", 3), ("x", 0)), free_end="x")
+
+
+@lru_cache(maxsize=None)
+def internal_count_totals(alphabet: Alphabet, max_internal: int) -> tuple[int, ...]:
+    """Number of trees per internal-node count, by the recurrence alone (no enumeration)."""
+    counts = [1]
+    for i in range(1, max_internal + 1):
+        total = 0
+        for _, k in alphabet.internal_labels:
+            for comp in _compositions(i - 1, k):
+                prod = 1
+                for c in comp:
+                    prod *= counts[c]
+                total += prod
+        counts.append(total)
+    return tuple(counts)
 
 
 class TestEnumeration:

@@ -23,11 +23,13 @@ from treewilf.trees import (
     PatternSet,
     avoids,
     catalan,
+    emit_polish,
     enumerate_binary_patterns,
     parse_polish,
     subtrees,
     vertex_count,
 )
+from treewilf.wilf import _mirror_word
 
 BIN = Alphabet.binary()
 MIXED = Alphabet(labels=(("m", 2), ("w", 3), ("x", 0)), free_end="x")
@@ -223,6 +225,48 @@ class TestSolver:
         expected = count_avoiders(MIXED, ps, 4)
         assert {n: c for (n,), c in target.nonzero_items() if n <= 10} == {
             n: c for n, c in expected.items() if n <= 10}
+
+    def test_product_with_coefficient(self):
+        # S = x + 2*S^2: a quadratic monomial with coefficient 2 is a product of its own
+        system = AlgebraicSystem(weight_vars=("x",), unknowns=("S",), equations=(
+            (Monomial(1, (1,), ()), Monomial(2, (0,), (0, 0))),), target=(0,))
+        sol, target = solve_truncated(system, 6)
+        assert verify_solution(system, sol, 6)
+        assert [target.coefficient(n) for n in range(1, 7)] == [1, 2, 8, 40, 224, 1344]
+
+    def test_one_product_feeds_two_equations(self):
+        # A = x + 3*A*B and B = x + 3*A*B convolve A*B once and add it to both rows
+        body = (Monomial(1, (1,), ()), Monomial(3, (0,), (0, 1)))
+        system = AlgebraicSystem(weight_vars=("x",), unknowns=("A", "B"),
+                                 equations=(body, body), target=(0, 1))
+        _, _, products = _compile_plan(system)
+        assert products == [(0, 0, 1)]
+        sol, target = solve_truncated(system, 6)
+        assert verify_solution(system, sol, 6)
+        assert [target.coefficient(n) for n in range(1, 7)] == [2, 6, 36, 270, 2268, 20412]
+
+    def test_constant_with_y_shift(self):
+        # S = x*y + x*S^2 counts binary trees by vertices (x) and leaves (y)
+        system = AlgebraicSystem(weight_vars=("x", "y"), unknowns=("S",), equations=(
+            (Monomial(1, (1, 1), ()), Monomial(1, (1, 0), (0, 0))),), target=(0,))
+        sol, target = solve_truncated(system, 13)
+        assert verify_solution(system, sol, 13)
+        assert target.nonzero_items() == [((2 * n - 1, n), catalan(n - 1)) for n in range(1, 8)]
+
+    def test_plan_sharing_at_eight_leaves(self):
+        # the representatives classify(8, ...) solves: the smaller Polish word of
+        # each mirror pair; the larger ones would give 651 av groups
+        words = sorted({min(w, _mirror_word(w))
+                        for w in map(emit_polish, enumerate_binary_patterns(8))})
+        av_products = av_groups = en_products = 0
+        for word in words:
+            pattern = parse_polish(word, BIN)
+            _, _, products = _compile_plan(enumeration_system(pattern, marked=False, leaf_weights=True))
+            av_products += len(products)
+            av_groups += len(_group_products(products, shared=True))
+            _, _, products = _compile_plan(enumeration_system(pattern, marked=True, leaf_weights=True))
+            en_products += len(products)
+        assert (len(words), av_products, av_groups, en_products) == (217, 2123, 634, 3368)
 
     @pytest.mark.parametrize("words", [[], ["mmxxmxx"], ["mxmxmxx"]])
     def test_groups_cover_each_product_once(self, words):
