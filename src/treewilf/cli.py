@@ -17,6 +17,7 @@ from .elim import EliminationBoundError, EliminationError, annihilates, eliminat
 from .grammar import GrammarSizeError, build_grammar
 from .series import av_series, en_series, solve_truncated, to_operad_series
 from .systems import (
+    MAX_STAMPS,
     SystemSizeError,
     cs_system,
     enumeration_system,
@@ -35,11 +36,12 @@ class ValidationError(ValueError):
 # so EliminationBoundError meets its row before its base EliminationError.
 # ValueError covers ValidationError, ParseError and ImproperSystemError;
 # RecursionError is what a pattern deeper than the interpreter's stack gives,
-# and OverflowError or MemoryError what an order too large to allocate gives.
+# and OverflowError or MemoryError what an order too large to allocate gives;
+# OSError is a file that cannot be read or written.
 EXIT_CODES = (
     ((GrammarSizeError, SystemSizeError, EliminationBoundError, RecursionError,
       OverflowError, MemoryError), 3, "resource bound exceeded"),
-    ((EliminationError, ValueError), 1, "error"),
+    ((EliminationError, ValueError, OSError), 1, "error"),
 )
 
 
@@ -97,6 +99,18 @@ def _at_least(minimum: int, args, *flags: str) -> None:
             raise ValidationError(f"{flag} must be at least {minimum}, got {value}")
 
 
+def _writable(args, *flags: str) -> None:
+    """Open each named output file for appending, which creates it but keeps
+    what it holds, so a path that cannot be written fails before any work."""
+    for flag in flags:
+        path = getattr(args, flag.lstrip("-"))
+        if path is not None:
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                raise ValidationError(f"{flag} {path!r}: {exc.strerror}") from exc
+
+
 def _workers(args) -> int:
     _at_least(1, args, "--workers")
     return args.workers if args.workers is not None else default_workers()
@@ -121,6 +135,7 @@ def cmd_classify(args) -> int:
             f"n={args.leaves} sweeps Catalan({args.leaves - 1}) patterns and runs for a long "
             "time; pass --deep to confirm"
         )
+    _writable(args, "--out", "--csv")
     report = classify(
         args.leaves, args.order, args.mode,
         workers=workers,
@@ -199,6 +214,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_grammar(args) -> int:
+    _at_least(1, args, "--max-nonterminals")
     alphabet = _alphabet(args)
     patterns = _patterns(args, alphabet)
     g = build_grammar(alphabet, patterns, max_nonterminals=args.max_nonterminals)
@@ -207,6 +223,7 @@ def cmd_grammar(args) -> int:
 
 
 def cmd_system(args) -> int:
+    _at_least(1, args, "--max-nonterminals")
     alphabet = _alphabet(args)
     patterns = _patterns(args, alphabet)
     if args.method == "cs":
@@ -222,7 +239,7 @@ def cmd_system(args) -> int:
 
 
 def cmd_eliminate(args) -> int:
-    _at_least(1, args, "--max-unknowns", "--check-order")
+    _at_least(1, args, "--max-unknowns", "--check-order", "--max-nonterminals")
     if args.deadline is not None and not 0 < args.deadline < math.inf:
         raise ValidationError(f"--deadline must be a finite number of seconds above 0, "
                               f"got {args.deadline}")
@@ -282,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="file with one pattern per line, # comments allowed")
         p.add_argument("--max-nonterminals", type=int, default=100000,
                        help="grammar budget: at most this many nonterminals and its "
-                            "square in candidate rule bodies")
+                            "square in candidate rule bodies; system --method stamp uses "
+                            f"its own budget, systems.MAX_STAMPS ({MAX_STAMPS}), and "
+                            "--method en none")
 
     p = sub.add_parser("classify", help="group n-leaf binary patterns by truncated series")
     p.add_argument("-n", "--leaves", type=int, required=True)

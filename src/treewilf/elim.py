@@ -12,16 +12,16 @@ on packing or in a product, raises EliminationBoundError instead of carrying
 into the next field.  Exact division tests that every field of a quotient
 monomial is nonnegative with one guard-bit subtraction.
 
-Exponent tuples appear only at the boundary, in BivarPoly.terms:
-system_polynomials builds packed keys directly, and eliminate unpacks its
-result once.
-BivarPoly is an immutable polynomial in (G, x), and a content in Z[x] packs
-to keys equal to its x-exponents.  All arithmetic is over the integers:
-divisions inside the subresultant remainder sequence and by a content are
-exact by construction and checked.  The resultant of two polynomials lies in
-the ideal they generate, so every polynomial produced by eliminate vanishes
-on any common solution of the system; the annihilation test makes that
-checkable against solved series.
+Exponent tuples appear only in PackedRing.pack and unpack and in
+BivarPoly.terms: system_polynomials builds packed keys directly, eliminate
+reads the keys of its result into a BivarPoly once, and a content in Z[x]
+is a polynomial of X_RING, keyed by x-exponent like every other polynomial
+here.  BivarPoly is an immutable polynomial in (G, x).  All arithmetic is
+over the integers: divisions inside the subresultant remainder sequence and
+by a content are exact by construction and checked.  The resultant of two
+polynomials lies in the ideal they generate, so every polynomial produced by
+eliminate vanishes on any common solution of the system; the annihilation
+test makes that checkable against solved series.
 
 A content is found by evaluation, the heuristic gcd of Char, Geddes and
 Gonnet (J. Symbolic Computation 7, 1989): the G-coefficients are evaluated
@@ -31,7 +31,9 @@ and its primitive part is accepted only once it divides every G-coefficient
 exactly.  Past that check it is the primitive gcd, since a nonconstant
 factor of a coefficient takes a value at xi larger than any balanced digit.
 A rejected candidate is retried at two larger xi, and only then does the
-primitive remainder sequence (univariate_gcd) compute the content.
+primitive remainder sequence (univariate_gcd) compute the gcd.  Either way
+evaluation_gcd divides every G-coefficient by it with X_RING.divexact and
+returns the quotients, so a content and its primitive part take one route.
 """
 
 from __future__ import annotations
@@ -388,11 +390,12 @@ def balanced_digits(n: int, bits: int) -> MPoly:
     return out
 
 
-def evaluation_gcd(polys: list[MPoly]) -> tuple[MPoly, list[MPoly]] | None:
+def evaluation_gcd(polys: list[MPoly]) -> tuple[MPoly, list[MPoly]]:
     """The gcd of nonzero polynomials of X_RING up to an integer factor,
     primitive with positive leading coefficient, with the quotient of each
-    polynomial by it; None when three evaluations give no candidate that
-    divides them all.
+    polynomial by it.  When three evaluations give no candidate that divides
+    them all, the primitive remainder sequence (univariate_gcd) gives it;
+    being primitive, it divides each polynomial in Z[x] (Gauss's lemma).
 
     With xi = 2^bits > 2M + 2, M the largest absolute coefficient, a root of
     any of the polynomials lies within 1 + M of 0 (Cauchy), so a nonconstant
@@ -411,7 +414,8 @@ def evaluation_gcd(polys: list[MPoly]) -> tuple[MPoly, list[MPoly]] | None:
             return candidate, [X_RING.divexact(p, candidate) for p in polys]
         except ArithmeticError:
             bits *= 2
-    return None
+    candidate = pk_primitive(reduce(univariate_gcd, polys, {}))
+    return candidate, [X_RING.divexact(p, candidate) for p in polys]
 
 
 # -- bivariate polynomials in (G, x) ----------------------------------------------
@@ -463,36 +467,27 @@ class BivarPoly:
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
         return BivarPoly.from_packed(GX_RING.mul(self.packed(), other.packed()))
 
-    def scale(self, c: int) -> "BivarPoly":
-        return BivarPoly.from_packed(pk_scale(self.packed(), c))
-
-    def content_and_primitive(self) -> tuple[dict[Exps, int], "BivarPoly"]:
-        """The Z[x] content, keyed by (x_degree,) with positive leading
+    def content_and_primitive(self) -> tuple[MPoly, "BivarPoly"]:
+        """The Z[x] content, a polynomial of X_RING with positive leading
         coefficient, and the matching primitive part.
 
         The content is the gcd of the G-coefficients: the integer gcd of
-        their coefficients times the primitive gcd that evaluation_gcd finds
-        and checks by exact division.  When it finds none, the primitive
-        remainder sequence (univariate_gcd) computes the content instead; by
-        Gauss's lemma it divides each G-coefficient in Z[x], so that
-        division is exact over Z too.
+        their coefficients times the primitive gcd that evaluation_gcd
+        returns with the quotient of each G-coefficient by it, found by
+        evaluation or else by the remainder sequence and checked by exact
+        division either way.  The primitive part is read off those
+        quotients, so no bivariate division runs.
         """
         if self.is_zero():
             return {}, self
         coeffs: dict[int, MPoly] = {}
         for (g, xd), c in self.terms:
             coeffs.setdefault(g, {})[xd] = c
-        found = evaluation_gcd(list(coeffs.values()))
-        if found is None:
-            content = reduce(univariate_gcd, coeffs.values(), {})
-            # lifted to (G, x) with G-exponent 0, the content keeps its keys
-            prim = BivarPoly.from_packed(GX_RING.divexact(self.packed(), content))
-            return X_RING.unpack(content), prim
-        primitive_gcd, quotients = found
+        primitive_gcd, quotients = evaluation_gcd(list(coeffs.values()))
         icont = gcd(*(c for _, c in self.terms))
         prim = BivarPoly.from_dict({(g, xd): c // icont for g, q in zip(coeffs, quotients)
                                     for xd, c in q.items()})
-        return {(xd,): icont * c for xd, c in primitive_gcd.items()}, prim
+        return pk_scale(primitive_gcd, icont), prim
 
     def canonical_text(self) -> str:
         """Stable text form: terms sorted by G-degree then x-degree."""
@@ -540,7 +535,7 @@ def poly_divides(p: BivarPoly, q: BivarPoly) -> bool:
         return False
     cont_p, prim_p = p.content_and_primitive()
     cont_q, prim_q = q.content_and_primitive()
-    if X_RING.prem(X_RING.pack(cont_p), X_RING.pack(cont_q), 0):
+    if X_RING.prem(cont_p, cont_q, 0):
         return False
     return not GX_RING.prem(prim_p.packed(), prim_q.packed(), 0)
 
@@ -666,9 +661,8 @@ def eliminate(system: AlgebraicSystem, max_unknowns: int = 12,
         raise EliminationError("no nonzero polynomial in the target survived elimination")
     best = min(candidates, key=lambda b: (b.g_degree, len(b.terms), b.canonical_text()))
     _, prim = best.content_and_primitive()
-    lead = sorted(prim.terms)[-1]
-    if lead[1] < 0:
-        prim = prim.scale(-1)
+    if prim.terms[-1][1] < 0:
+        prim = BivarPoly(tuple((k, -c) for k, c in prim.terms))
     return prim
 
 

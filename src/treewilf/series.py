@@ -312,9 +312,10 @@ def _group_products(products: list[tuple[int, int, int]], shared: bool):
     return groups
 
 
-def _majorant(system: AlgebraicSystem) -> AlgebraicSystem:
-    """One-unknown system S = sum M[a,k] * x^a * S^k whose x^n coefficient
-    bounds every mark coefficient at x^n of every unknown of the system.
+def _majorant(system: AlgebraicSystem) -> tuple[Monomial, ...]:
+    """The monomials of the one-unknown equation S = sum M[a,k] * x^a * S^k,
+    whose solution's x^n coefficient bounds every mark coefficient at x^n of
+    every unknown of the system.
 
     M[a,k] is the largest total coefficient any single factor tuple carries
     among the monomials of primary degree a with k factors, summed over the
@@ -335,12 +336,7 @@ def _majorant(system: AlgebraicSystem) -> AlgebraicSystem:
     for (a, factors), total in totals.items():
         key = (a, len(factors))
         bounds[key] = max(bounds.get(key, 0), total)
-    return AlgebraicSystem(
-        weight_vars=system.weight_vars[:1],
-        unknowns=("S",),
-        equations=(tuple(Monomial(c, (a,), (0,) * k) for (a, k), c in sorted(bounds.items())),),
-        target=(0,),
-    )
+    return tuple(Monomial(c, (a,), (0,) * k) for (a, k), c in sorted(bounds.items()))
 
 
 @lru_cache(maxsize=64)
@@ -370,7 +366,7 @@ def solve_truncated(system: AlgebraicSystem, order: int, *,
     if order < 1:
         raise ValueError("truncation order must be >= 1")
     system.validate_proper()
-    ceiling = _ceiling(_majorant(system).equations[0], order)
+    ceiling = _ceiling(_majorant(system), order)
     # spare bits keep a coefficient that breaks the bound in its own slot,
     # where a check sees it, instead of carrying into the next
     width = max(ceiling).bit_length() + 4
@@ -486,35 +482,32 @@ def _solve(system: AlgebraicSystem, order: int, width: int):
 # -- pattern series pipeline ------------------------------------------------------
 
 
-def _leaf_order(order: int) -> int:
-    return (order + 1) // 2
+def _vertex_series(pattern: Tree, order: int, marked: bool) -> TruncatedSeries:
+    """Solve the pattern's leaf-weighted occurrence system for its target to
+    the leaf order (order + 1) // 2, and re-index leaf n to vertex 2n - 1."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    system = enumeration_system(pattern, marked=marked, leaf_weights=True)
+    _, tz = solve_truncated(system, (order + 1) // 2, include_unknowns=False)
+    if marked:
+        return TruncatedSeries.bivariate(("x", "y"), order,
+                                         {(2 * n - 1, k): c for (n, k), c in tz.nonzero_items()})
+    dense = [0] * (order + 1)
+    dense[1::2] = tz.dense_coefficients()[1:]
+    return TruncatedSeries.univariate("x", order, dense)
 
 
 def av_series(pattern: Tree, order: int) -> TruncatedSeries:
     """Avoidance series of a binary pattern: coefficient of x^n is the number
     of binary trees with n vertices containing no occurrence of the pattern."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    system = enumeration_system(pattern, marked=False, leaf_weights=True)
-    leaves = _leaf_order(order)
-    _, tz = solve_truncated(system, leaves, include_unknowns=False)
-    dense = [0] * (order + 1)
-    for n in range(1, leaves + 1):
-        dense[2 * n - 1] = tz.coefficient(n)
-    return TruncatedSeries.univariate("x", order, dense)
+    return _vertex_series(pattern, order, marked=False)
 
 
 def en_series(pattern: Tree, order: int) -> TruncatedSeries:
     """Occurrence-marked series: coefficient of x^n y^k counts binary trees
     with n vertices containing exactly k occurrences of the pattern.
     Its y=0 slice equals av_series."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    system = enumeration_system(pattern, marked=True, leaf_weights=True)
-    leaves = _leaf_order(order)
-    _, tz = solve_truncated(system, leaves, include_unknowns=False)
-    coeffs = {(2 * n - 1, k): c for (n, k), c in tz.nonzero_items()}
-    return TruncatedSeries.bivariate(("x", "y"), order, coeffs)
+    return _vertex_series(pattern, order, marked=True)
 
 
 def en_slice_y0(en: TruncatedSeries) -> TruncatedSeries:

@@ -214,19 +214,16 @@ def _require_binary_pattern(pattern: Tree) -> None:
         )
 
 
-def _collect_subtrees(t: Tree, kids: dict[str, tuple[str, str] | None],
-                      trees: dict[str, Tree]) -> str:
+def _collect_subtrees(t: Tree, kids: dict[str, tuple[str, str] | None]) -> str:
     """Record every subtree of t by Polish word: in kids, the words of its two
-    children (None for the free end), and in trees, the subtree.  Returns
-    the word of t."""
+    children (None for the free end).  Returns the word of t."""
     if t.is_free_end():
         word, pair = t.label, None
     else:
-        pair = (_collect_subtrees(t.children[0], kids, trees),
-                _collect_subtrees(t.children[1], kids, trees))
+        pair = (_collect_subtrees(t.children[0], kids),
+                _collect_subtrees(t.children[1], kids))
         word = t.label + pair[0] + pair[1]
     kids[word] = pair
-    trees[word] = t
     return word
 
 
@@ -251,12 +248,9 @@ class OccurrenceAutomaton:
 
     def __init__(self, pattern: Tree):
         _require_binary_pattern(pattern)
-        self.pattern = pattern
         kids: dict[str, tuple[str, str] | None] = {}
-        trees: dict[str, Tree] = {}
-        top = _collect_subtrees(pattern, kids, trees)
+        top = _collect_subtrees(pattern, kids)
         self.words: list[str] = sorted(kids)
-        self.subs: list[Tree] = [trees[w] for w in self.words]
         idx = {w: i for i, w in enumerate(self.words)}
         self._internal = [(idx[w], idx[pair[0]], idx[pair[1]]) for w, pair in kids.items() if pair]
         self.x_bit = 1 << idx["x"]
@@ -267,9 +261,6 @@ class OccurrenceAutomaton:
         for _, li, ri in self._internal:
             self.left_mask |= 1 << li
             self.right_mask |= 1 << ri
-
-    def start(self) -> int:
-        return self.x_bit
 
     def join(self, left_proj: int, right_proj: int) -> int:
         out = self.x_bit
@@ -287,7 +278,7 @@ class OccurrenceAutomaton:
         over every pair of their projections; with marked=False, joins that
         create a root occurrence are excluded (avoidance mode) and have no
         entry.  Each round joins only the pairs with a projection new in it."""
-        states = {self.start()}
+        states = {self.x_bit}
         lefts: set[int] = set()
         rights: set[int] = set()
         table: dict[tuple[int, int], int] = {}
@@ -309,42 +300,10 @@ class OccurrenceAutomaton:
         return sorted(states, key=self._indices), table
 
     def _indices(self, mask: int) -> list[int]:
-        return [i for i in range(len(self.subs)) if (mask >> i) & 1]
+        return [i for i in range(len(self.words)) if (mask >> i) & 1]
 
     def state_name(self, mask: int) -> str:
         return "C[" + "|".join(self.words[i] for i in self._indices(mask)) + "]"
-
-
-def _reduced_occurrence_system(pattern: Tree, marked: bool, leaf_weights: bool) -> AlgebraicSystem:
-    auto = OccurrenceAutomaton(pattern)
-    states, table = auto.reachable(marked)
-    index = {s: i for i, s in enumerate(states)}
-    weight_vars = (("z",) if leaf_weights else ("x",)) + (("y",) if marked else ())
-    nv = len(weight_vars)
-    base_wexp = (1,) + (0,) * (nv - 1)
-    join_wexp = ((0,) if leaf_weights else (1,)) + (0,) * (nv - 1)
-    join_wexp_marked = ((0, 1) if leaf_weights else (1, 1)) if marked else None
-    # each transition as (target unknown, weight exponents)
-    cells = {
-        pair: (index[t], join_wexp_marked if auto.root_occurrence(*pair) else join_wexp)
-        for pair, t in table.items()
-    }
-    right_projs = [b & auto.right_mask for b in states]
-
-    equations: list[list[Monomial]] = [[] for _ in states]
-    equations[index[auto.start()]].append(Monomial(1, base_wexp, ()))
-    for i, a in enumerate(states):
-        lp = a & auto.left_mask
-        for j, rp in enumerate(right_projs):
-            cell = cells.get((lp, rp))
-            if cell is not None:
-                equations[cell[0]].append(Monomial(1, cell[1], (i, j)))
-    return AlgebraicSystem(
-        weight_vars=weight_vars,
-        unknowns=tuple(auto.state_name(s) for s in states),
-        equations=tuple(tuple(eq) for eq in equations),
-        target=tuple(range(len(states))),
-    )
 
 
 def enumeration_system(pattern: Tree, *, reduced: bool = True, marked: bool = True,
@@ -365,7 +324,35 @@ def enumeration_system(pattern: Tree, *, reduced: bool = True, marked: bool = Tr
     """
     if not reduced:
         raise ValueError("only the reduced occurrence construction exists; drop reduced=False")
-    return _reduced_occurrence_system(pattern, marked, leaf_weights)
+    auto = OccurrenceAutomaton(pattern)
+    states, table = auto.reachable(marked)
+    index = {s: i for i, s in enumerate(states)}
+    weight_vars = (("z",) if leaf_weights else ("x",)) + (("y",) if marked else ())
+    nv = len(weight_vars)
+    base_wexp = (1,) + (0,) * (nv - 1)
+    join_wexp = ((0,) if leaf_weights else (1,)) + (0,) * (nv - 1)
+    join_wexp_marked = ((0, 1) if leaf_weights else (1, 1)) if marked else None
+    # each transition as (target unknown, weight exponents)
+    cells = {
+        pair: (index[t], join_wexp_marked if auto.root_occurrence(*pair) else join_wexp)
+        for pair, t in table.items()
+    }
+    right_projs = [b & auto.right_mask for b in states]
+
+    equations: list[list[Monomial]] = [[] for _ in states]
+    equations[index[auto.x_bit]].append(Monomial(1, base_wexp, ()))
+    for i, a in enumerate(states):
+        lp = a & auto.left_mask
+        for j, rp in enumerate(right_projs):
+            cell = cells.get((lp, rp))
+            if cell is not None:
+                equations[cell[0]].append(Monomial(1, cell[1], (i, j)))
+    return AlgebraicSystem(
+        weight_vars=weight_vars,
+        unknowns=tuple(auto.state_name(s) for s in states),
+        equations=tuple(tuple(eq) for eq in equations),
+        target=tuple(range(len(states))),
+    )
 
 
 def occurrence_state_count(pattern: Tree) -> int:

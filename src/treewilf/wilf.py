@@ -79,8 +79,8 @@ class ClassificationReport:
             data["timing"] = {"seconds": self.timing_seconds, "workers": self.workers}
         return data
 
-    def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_timing), sort_keys=True, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
     def canonical_bytes(self) -> bytes:
         """Deterministic report bytes (timing metadata excluded)."""
@@ -224,10 +224,10 @@ def classify(n_leaves: int, order: int = 257, mode: str = "av", *,
 
 
 def stabilization_scan(n_leaves: int, orders: list[int], mode: str = "av", *,
-                       workers: int = 1, progress=None) -> dict[int, int]:
+                       workers: int = 1) -> dict[int, int]:
     """Class counts per truncation order.  Each representative is solved once
     at the largest order and restricted downward, which is exact."""
     if not orders or sorted(orders) != list(orders):
         raise ValueError("orders must be a nondecreasing nonempty list")
-    _, keys = _sweep(n_leaves, list(orders), mode, workers, progress)
+    _, keys = _sweep(n_leaves, list(orders), mode, workers, None)
     return {k: len(ks) for k, ks in zip(orders, keys)}

@@ -6,11 +6,17 @@ Each test prints one pass line for its criterion; run with
 
 The classification sweeps at order 257 are shared across criteria via a
 cache, so the whole module costs a few minutes, dominated by the 9-leaf
-occurrence-marked sweep.
+occurrence-marked sweep.  The two 9-leaf tests carry the slow marker, so
+
+    pytest -m "not slow"
+
+leaves them out for a quick loop.
 """
 
 import time
 from functools import lru_cache
+
+import pytest
 
 from test_oracle import internal_count_totals  # pytest puts tests/ on sys.path
 from treewilf import verify
@@ -69,6 +75,7 @@ def test_03_divisibility_certificate():
     ok("3 certificate", f"divisibility + shared annihilation at K=100 in {elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_04_nine_leaf_lower_bounds():
     av9 = report(9, "av")
     en9 = report(9, "en")
@@ -79,6 +86,7 @@ def test_04_nine_leaf_lower_bounds():
     ok("4 nine-leaf bounds", f"av={av9.class_count}, en={en9.class_count} at K={ORDER}")
 
 
+@pytest.mark.slow
 def test_05_enumeration_equivalence_cross_check():
     for n in range(2, 9):
         assert report(n, "av").partition() == report(n, "en").partition(), n

@@ -362,6 +362,38 @@ class TestUsageErrors:
         assert len(errors) == 1 and message in errors[0]
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    @pytest.mark.parametrize("target, reason", [("missing-directory", "No such file or directory"),
+                                                ("directory", "Is a directory")])
+    def test_unwritable_output_fails_before_the_sweep(self, capsys, monkeypatch, tmp_path,
+                                                      flag, target, reason):
+        def unused(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "classify", unused)
+        path = str(tmp_path / "absent" / "report" if target == "missing-directory" else tmp_path)
+        code, out, err = run(capsys, "classify", "-n", "3", "-K", "6", "--workers", "1",
+                             "--quiet", flag, path)
+        assert code == 1
+        assert out == "" and err == f"error: {flag} {path!r}: {reason}\n"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a full device")
+    def test_failed_report_write_exits_1(self, capsys):
+        # the device opens, but the report's write fails once the sweep is done
+        code, out, err = run(capsys, "classify", "-n", "3", "-K", "6", "--workers", "1",
+                             "--quiet", "--out", "/dev/full")
+        assert code == 1
+        assert out == "" and err == "error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    @pytest.mark.parametrize("argv", [["grammar"], ["system"], ["system", "--method", "stamp"],
+                                      ["system", "--method", "en"], ["eliminate"]],
+                             ids=["grammar", "system-cs", "system-stamp", "system-en", "eliminate"])
+    def test_max_nonterminals_below_one(self, capsys, argv, value):
+        code, out, err = run(capsys, *argv, "--patterns", "mmxxx", "--max-nonterminals", value)
+        assert code == 1
+        assert out == "" and err == f"error: --max-nonterminals must be at least 1, got {value}\n"
+
     @pytest.mark.parametrize("workers", ["0", "-5"])
     def test_workers_below_one(self, capsys, workers):
         code, out, err = run(capsys, "classify", "-n", "3", "--quiet", "--workers", workers)

@@ -162,7 +162,7 @@ class TreeAutomaton(OccurrenceAutomaton):
 
     def state_of(self, tree: Tree) -> int:
         if tree.is_free_end():
-            return self.start()
+            return self.x_bit
         a = self.state_of(tree.children[0]) & self.left_mask
         b = self.state_of(tree.children[1]) & self.right_mask
         return self.join(a, b)
@@ -175,8 +175,8 @@ class TestOccurrenceAutomaton:
         auto = TreeAutomaton(pattern)
         for tree in enumerate_trees(BIN, 5):
             mask = auto.state_of(tree)
-            for i, sub in enumerate(auto.subs):
-                assert bool((mask >> i) & 1) == is_rooted_subtree(sub, tree)
+            for i, word in enumerate(auto.words):
+                assert bool((mask >> i) & 1) == is_rooted_subtree(parse_polish(word, BIN), tree)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
