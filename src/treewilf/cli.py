@@ -52,13 +52,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _alphabet(args) -> Alphabet:
-    try:
-        return Alphabet.from_config(args.alphabet)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
 def _patterns(args, alphabet: Alphabet) -> PatternSet:
     words: list[str] = []
     if getattr(args, "patterns_file", None):
@@ -156,17 +149,19 @@ def cmd_classify(args) -> int:
 def cmd_stabilize(args) -> int:
     workers = _workers(args)
     try:
-        orders = sorted(int(k) for k in args.orders.split(","))
+        orders = sorted({int(k) for k in args.orders.split(",")})
     except ValueError:
         raise ValidationError(
             f"--orders must be comma-separated integers, got {args.orders!r}") from None
     scan = stabilization_scan(args.leaves, orders, args.mode, workers=workers)
     for k in orders:
         print(f"n={args.leaves} mode={args.mode} K={k} classes={scan[k]}")
-    if len({scan[k] for k in orders[-2:]}) == 1:
-        print("stable over the last two orders", file=sys.stderr)
-    else:
-        print("still moving at the top order; extend the ladder", file=sys.stderr)
+    # a verdict compares the two largest orders, so one order gives none
+    if len(orders) >= 2:
+        if scan[orders[-2]] == scan[orders[-1]]:
+            print("stable over the last two orders", file=sys.stderr)
+        else:
+            print("still moving at the top order; extend the ladder", file=sys.stderr)
     return 0
 
 
@@ -215,7 +210,7 @@ def cmd_series(args) -> int:
 
 def cmd_grammar(args) -> int:
     _at_least(1, args, "--max-nonterminals")
-    alphabet = _alphabet(args)
+    alphabet = Alphabet.from_config(args.alphabet)
     patterns = _patterns(args, alphabet)
     g = build_grammar(alphabet, patterns, max_nonterminals=args.max_nonterminals)
     sys.stdout.write(g.to_json() + "\n" if args.format == "json" else g.to_bnf())
@@ -224,7 +219,7 @@ def cmd_grammar(args) -> int:
 
 def cmd_system(args) -> int:
     _at_least(1, args, "--max-nonterminals")
-    alphabet = _alphabet(args)
+    alphabet = Alphabet.from_config(args.alphabet)
     patterns = _patterns(args, alphabet)
     if args.method == "cs":
         system = cs_system(build_grammar(alphabet, patterns, max_nonterminals=args.max_nonterminals))
@@ -243,7 +238,7 @@ def cmd_eliminate(args) -> int:
     if args.deadline is not None and not 0 < args.deadline < math.inf:
         raise ValidationError(f"--deadline must be a finite number of seconds above 0, "
                               f"got {args.deadline}")
-    alphabet = _alphabet(args)
+    alphabet = Alphabet.from_config(args.alphabet)
     patterns = _patterns(args, alphabet)
     system = cs_system(build_grammar(alphabet, patterns, max_nonterminals=args.max_nonterminals))
     poly = eliminate(system, max_unknowns=args.max_unknowns, deadline_seconds=args.deadline)
@@ -262,7 +257,7 @@ def cmd_verify(args) -> int:
     _at_least(0, args, "--max-nodes")
 
     def pattern_set() -> tuple[Alphabet, PatternSet]:
-        alphabet = _alphabet(args)
+        alphabet = Alphabet.from_config(args.alphabet)
         if args.patterns or args.patterns_file:
             return alphabet, _patterns(args, alphabet)
         return alphabet, PatternSet.from_words(["mmxxx"], alphabet)

@@ -12,16 +12,17 @@ on packing or in a product, raises EliminationBoundError instead of carrying
 into the next field.  Exact division tests that every field of a quotient
 monomial is nonnegative with one guard-bit subtraction.
 
-Exponent tuples appear only in PackedRing.pack and unpack and in
-BivarPoly.terms: system_polynomials builds packed keys directly, eliminate
-reads the keys of its result into a BivarPoly once, and a content in Z[x]
-is a polynomial of X_RING, keyed by x-exponent like every other polynomial
-here.  BivarPoly is an immutable polynomial in (G, x).  All arithmetic is
-over the integers: divisions inside the subresultant remainder sequence and
-by a content are exact by construction and checked.  The resultant of two
-polynomials lies in the ideal they generate, so every polynomial produced by
-eliminate vanishes on any common solution of the system; the annihilation
-test makes that checkable against solved series.
+Exponent tuples appear only in PackedRing.pack and unpack and in the
+BivarPoly.terms view.  system_polynomials builds packed keys directly, with
+G and x in the top two fields, so a survivor of eliminate becomes the
+GX_RING keys of a BivarPoly by one shift; BivarPoly, an immutable polynomial
+in (G, x), holds those keys and computes on them, and a G-coefficient or a
+content in Z[x] is a polynomial of X_RING, keyed by x-exponent.  All
+arithmetic is over the integers: divisions inside the subresultant remainder
+sequence and by a content are exact by construction and checked.  The
+resultant of two polynomials lies in the ideal they generate, so every
+polynomial produced by eliminate vanishes on any common solution of the
+system; the annihilation test makes that checkable against solved series.
 
 A content is found by evaluation, the heuristic gcd of Char, Geddes and
 Gonnet (J. Symbolic Computation 7, 1989): the G-coefficients are evaluated
@@ -425,21 +426,21 @@ def evaluation_gcd(polys: list[MPoly]) -> tuple[MPoly, list[MPoly]]:
 class BivarPoly:
     """Polynomial in the series unknown G with integer polynomial coefficients in x.
 
-    terms maps (g_degree, x_degree) -> coefficient, frozen as a sorted tuple;
-    as_dict() returns it as a dict, and packed() as an MPoly of GX_RING.
-    Content (the common Z[x] factor of the G-coefficients) is never stripped
-    implicitly; use content_and_primitive explicitly.
+    mpoly is an MPoly of GX_RING, G in the top field and x in the bottom one,
+    so key order is (g_degree, x_degree) order and the low field of a key is
+    the x-degree within its G-coefficient.  terms is the read-only view
+    ((g_degree, x_degree), coefficient) in that order.  Content (the common
+    Z[x] factor of the G-coefficients) is never stripped implicitly; use
+    content_and_primitive explicitly.
     """
 
-    terms: tuple[tuple[tuple[int, int], int], ...]
+    mpoly: MPoly
 
     @classmethod
     def from_dict(cls, d: dict[tuple[int, int], int]) -> "BivarPoly":
-        return cls(tuple(sorted((k, v) for k, v in d.items() if v)))
-
-    @classmethod
-    def from_packed(cls, p: MPoly) -> "BivarPoly":
-        return cls.from_dict(GX_RING.unpack(p))
+        """From {(g_degree, x_degree): coeff}; raises EliminationBoundError for
+        an exponent outside [0, 2^(FIELD-1))."""
+        return cls(GX_RING.pack({k: v for k, v in d.items() if v}))
 
     @classmethod
     def from_g_coefficients(cls, coeffs: dict[int, dict[int, int]]) -> "BivarPoly":
@@ -448,24 +449,27 @@ class BivarPoly:
             (g, xd): c for g, xs in coeffs.items() for xd, c in xs.items()
         })
 
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.terms)
-
-    def packed(self) -> MPoly:
-        return GX_RING.pack(self.as_dict())
+    @cached_property
+    def terms(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        return tuple(((k >> FIELD, k & FIELD_MASK), c) for k, c in sorted(self.mpoly.items()))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.mpoly
 
-    @cached_property
+    @property
     def g_degree(self) -> int:
-        return max((g for (g, _), _ in self.terms), default=-1)
+        return GX_RING.degree(self.mpoly, 0)
 
-    def g_coefficient(self, g: int) -> dict[int, int]:
-        return {xd: c for (gg, xd), c in self.terms if gg == g}
+    def g_coefficients(self) -> dict[int, MPoly]:
+        """{g_degree: its coefficient, a polynomial of X_RING} for the nonzero
+        G-coefficients, by increasing G-degree and each by increasing x-degree."""
+        out: dict[int, MPoly] = {}
+        for k, c in sorted(self.mpoly.items()):
+            out.setdefault(k >> FIELD, {})[k & FIELD_MASK] = c
+        return out
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        return BivarPoly.from_packed(GX_RING.mul(self.packed(), other.packed()))
+        return BivarPoly(GX_RING.mul(self.mpoly, other.mpoly))
 
     def content_and_primitive(self) -> tuple[MPoly, "BivarPoly"]:
         """The Z[x] content, a polynomial of X_RING with positive leading
@@ -480,32 +484,25 @@ class BivarPoly:
         """
         if self.is_zero():
             return {}, self
-        coeffs: dict[int, MPoly] = {}
-        for (g, xd), c in self.terms:
-            coeffs.setdefault(g, {})[xd] = c
+        coeffs = self.g_coefficients()
         primitive_gcd, quotients = evaluation_gcd(list(coeffs.values()))
-        icont = gcd(*(c for _, c in self.terms))
-        prim = BivarPoly.from_dict({(g, xd): c // icont for g, q in zip(coeffs, quotients)
-                                    for xd, c in q.items()})
+        icont = gcd(*self.mpoly.values())
+        prim = BivarPoly({g << FIELD | xd: c // icont for g, q in zip(coeffs, quotients)
+                          for xd, c in q.items()})
         return pk_scale(primitive_gcd, icont), prim
 
     def canonical_text(self) -> str:
         """Stable text form: terms sorted by G-degree then x-degree."""
-        parts = [f"G^{g},x^{x}:{c}" for (g, x), c in
-                 sorted(self.terms, key=lambda t: (t[0][0], t[0][1]))]
-        return "bivar;" + ";".join(parts)
+        return "bivar;" + ";".join(f"G^{g},x^{x}:{c}" for (g, x), c in self.terms)
 
     def pretty(self) -> str:
         if self.is_zero():
             return "0"
         chunks = []
-        for g in range(self.g_degree + 1):
-            coeff = self.g_coefficient(g)
-            if not coeff:
-                continue
+        for g, coeff in self.g_coefficients().items():
             xs = " + ".join(
                 f"{c}" + ("" if xd == 0 else f"*x^{xd}" if xd > 1 else "*x")
-                for xd, c in sorted(coeff.items())
+                for xd, c in coeff.items()
             )
             if g == 0:
                 chunks.append(f"({xs})")
@@ -537,7 +534,7 @@ def poly_divides(p: BivarPoly, q: BivarPoly) -> bool:
     cont_q, prim_q = q.content_and_primitive()
     if X_RING.prem(cont_p, cont_q, 0):
         return False
-    return not GX_RING.prem(prim_p.packed(), prim_q.packed(), 0)
+    return not GX_RING.prem(prim_p.mpoly, prim_q.mpoly, 0)
 
 
 def annihilates(p: BivarPoly, series: TruncatedSeries, order: int) -> bool:
@@ -549,9 +546,10 @@ def annihilates(p: BivarPoly, series: TruncatedSeries, order: int) -> bool:
     s = series.restrict(order)
     var = series.variables[0]
     acc = TruncatedSeries.zero((var,), order)
+    coeffs = p.g_coefficients()
     for g in range(p.g_degree, -1, -1):
         acc = acc * s
-        coeff = p.g_coefficient(g)
+        coeff = coeffs.get(g)
         if coeff:
             dense = [0] * (order + 1)
             for xd, c in coeff.items():
@@ -563,27 +561,28 @@ def annihilates(p: BivarPoly, series: TruncatedSeries, order: int) -> bool:
 
 
 def system_polynomials(system: AlgebraicSystem) -> tuple[list[MPoly], int]:
-    """Defining polynomials unknown_i - rhs_i over variables (x, y_0..y_{N-1}, G),
+    """Defining polynomials unknown_i - rhs_i over variables (G, x, y_0..y_{N-1}),
     plus the target polynomial G - sum(target), as MPolys of PackedRing(nvars).
-    Returns (polys, nvars)."""
+    G and x hold the top two fields, so a polynomial free of the unknowns is
+    its GX_RING keys shifted up by FIELD*N.  Returns (polys, nvars)."""
     if len(system.weight_vars) != 1:
         raise EliminationError("elimination supports one weight variable")
-    nvars = 1 + system.n_unknowns + 1
+    nvars = 2 + system.n_unknowns
     ring = PackedRing(nvars)
     unit = [1 << ring.shift(v) for v in range(nvars)]
     polys: list[MPoly] = []
     for i, eq in enumerate(system.equations):
-        p = {unit[1 + i]: 1}
+        p = {unit[2 + i]: 1}
         for m in eq:
             if m.wexp[0] >> (FIELD - 1):
                 raise EliminationBoundError(
                     f"exponent {m.wexp[0]} is outside the packed range [0, 2^{FIELD - 1})")
-            key = m.wexp[0] * unit[0] + sum(unit[1 + f] for f in m.factors)
+            key = m.wexp[0] * unit[1] + sum(unit[2 + f] for f in m.factors)
             p[key] = p.get(key, 0) - m.coeff
         polys.append({k: c for k, c in p.items() if c})
-    gpoly = {unit[nvars - 1]: 1}
+    gpoly = {unit[0]: 1}
     for ui in system.target:
-        gpoly[unit[1 + ui]] = -1
+        gpoly[unit[2 + ui]] = -1
     polys.append(gpoly)
     return polys, nvars
 
@@ -612,8 +611,8 @@ def eliminate(system: AlgebraicSystem, max_unknowns: int = 12,
     deadline = None if deadline_seconds is None else time.monotonic() + deadline_seconds
     polys, nvars = system_polynomials(system)
     ring = PackedRing(nvars, deadline)
-    remaining = list(range(1, 1 + system.n_unknowns))
-    forced = [1 + u for u in elimination_order] if elimination_order is not None else None
+    remaining = list(range(2, 2 + system.n_unknowns))
+    forced = [2 + u for u in elimination_order] if elimination_order is not None else None
 
     while remaining:
         ring.check_deadline()
@@ -638,31 +637,30 @@ def eliminate(system: AlgebraicSystem, max_unknowns: int = 12,
             res = ring.resultant(pivot, p, var)
             if not res:
                 raise EliminationError(
-                    f"resultant vanished while eliminating unknown {var - 1}; "
+                    f"resultant vanished while eliminating unknown {var - 2}; "
                     "the inputs share a factor - strip contents or square-free parts first"
                 )
             new_polys.append(res)
         polys = passing + new_polys
         remaining.remove(var)
 
-    # the survivors lie in Z[x, G]: x is the top field and G the bottom one
-    unknown_fields = ((1 << FIELD * (nvars - 2)) - 1) << FIELD
-    x_shift = ring.shift(0)
+    # the survivors lie in Z[G, x], the top two fields; the unknowns hold the rest
+    unknown_bits = FIELD * system.n_unknowns
     candidates = []
     for p in polys:
         if not p:
             continue
-        if any(k & unknown_fields for k in p):
+        if reduce(or_, p, 0) & ((1 << unknown_bits) - 1):
             raise EliminationError("an unknown survived elimination; this is a bug")
-        bp = BivarPoly.from_dict({(k & FIELD_MASK, k >> x_shift): c for k, c in p.items()})
-        if not bp.is_zero() and bp.g_degree >= 1:
+        bp = BivarPoly({k >> unknown_bits: c for k, c in p.items()})
+        if bp.g_degree >= 1:
             candidates.append(bp)
     if not candidates:
         raise EliminationError("no nonzero polynomial in the target survived elimination")
-    best = min(candidates, key=lambda b: (b.g_degree, len(b.terms), b.canonical_text()))
+    best = min(candidates, key=lambda b: (b.g_degree, len(b.mpoly), b.canonical_text()))
     _, prim = best.content_and_primitive()
-    if prim.terms[-1][1] < 0:
-        prim = BivarPoly(tuple((k, -c) for k, c in prim.terms))
+    if prim.mpoly[max(prim.mpoly)] < 0:
+        prim = BivarPoly(pk_scale(prim.mpoly, -1))
     return prim
 
 

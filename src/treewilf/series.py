@@ -9,10 +9,10 @@ coefficient that has not been computed yet.
 Two implementation notes that matter for whole-sweep classification:
 
 * products of unknowns are regrouped distributively: within one equation,
-  quadratic bodies sharing a left factor class are summed first and
-  multiplied once.  This is exact (plain distributivity) and collapses the
-  number of series convolutions from the number of bodies to the number of
-  factor classes.
+  quadratic bodies with the same coefficient sharing a left factor class are
+  summed first and multiplied once.  This is exact (plain distributivity)
+  and collapses the number of series convolutions from the number of bodies
+  to the number of factor classes.
 * coefficients are packed into big integers at a fixed slot width, so
   one CPython big-integer multiply does the work of many.  The solver
   picks the width itself from a one-unknown majorant system (see
@@ -243,7 +243,7 @@ def _compile_plan(system: AlgebraicSystem):
         return feeds[products[key]]
 
     for ui, eq in enumerate(system.equations):
-        quads: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        quads: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
         for m in eq:
             a = m.wexp[0]
             b = m.wexp[1] if len(m.wexp) > 1 else 0
@@ -252,16 +252,14 @@ def _compile_plan(system: AlgebraicSystem):
                 constants.append((ui, a, b, m.coeff))
             elif k == 1:
                 terms.append((ui, a, b, m.coeff, m.factors[0]))
-            elif k == 2 and m.coeff == 1:
-                quads.setdefault((a, b), []).append((m.factors[0], m.factors[1]))
             elif k == 2:
-                product(a, *m.factors).append((ui, b, m.coeff))
+                quads.setdefault((a, b, m.coeff), []).append((m.factors[0], m.factors[1]))
             else:
                 node = m.factors[0]
                 for f in m.factors[1:]:
                     node = chain_node(node, f)
                 terms.append((ui, a, b, m.coeff, node))
-        for (a, b), pairs in sorted(quads.items()):
+        for (a, b, coeff), pairs in sorted(quads.items()):
             rows: dict[int, list[int]] = {}
             for f0, f1 in pairs:
                 rows.setdefault(f0, []).append(f1)
@@ -270,7 +268,7 @@ def _compile_plan(system: AlgebraicSystem):
                 by_cols.setdefault(tuple(sorted(cols)), []).append(f0)
             for cols, row_members in sorted(by_cols.items()):
                 left = sum_node(tuple(sorted(row_members)))
-                product(a, left, sum_node(cols)).append((ui, b, 1))
+                product(a, left, sum_node(cols)).append((ui, b, coeff))
     return (constants, terms, feeds), nodes, list(products)
 
 

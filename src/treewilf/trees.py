@@ -79,9 +79,6 @@ class Alphabet:
     def internal_labels(self) -> tuple[tuple[str, int], ...]:
         return tuple((name, k) for name, k in self.labels if k >= 1)
 
-    def arity(self, name: str) -> int:
-        return self.arities[name]
-
     def tokenize(self, word: str) -> list[str]:
         """Split a word into label tokens, greedy longest match first."""
         by_len = sorted((name for name, _ in self.labels), key=len, reverse=True)
@@ -322,7 +319,3 @@ class PatternSet:
     def d(self) -> int:
         """Maximal pattern height (0 for the empty set)."""
         return max((height(p) for p in self.patterns), default=0)
-
-    @cached_property
-    def degenerate(self) -> bool:
-        return any(p.is_free_end() for p in self.patterns)

@@ -156,12 +156,13 @@ def _sweep(n_leaves: int, orders: list[int], mode: str, workers: int, progress,
     numbering: list[dict[bytes, int]] = [{} for _ in orders]
     class_of: dict[str, list[int]] = {}
     with ExitStack() as stack:
-        if workers <= 1 or len(jobs) <= 1:
+        size = min(workers, len(jobs))
+        if size <= 1:
             results = map(_sweep_worker, jobs)
         else:
-            pool = stack.enter_context(Pool(workers))
+            pool = stack.enter_context(Pool(size))
             results = pool.imap_unordered(_sweep_worker, jobs,
-                                          chunksize=max(1, len(jobs) // (workers * 8)))
+                                          chunksize=max(1, len(jobs) // (size * 8)))
         for done, (word, keys) in enumerate(results, 1):
             class_of[word] = [ids.setdefault(key, len(ids)) for ids, key in zip(numbering, keys)]
             if progress:

@@ -181,13 +181,16 @@ class TestStabilizeCommand:
          "stable over the last two orders"),
         ("-n 6 --orders 24,12", "n=6 mode=av", {12: 1, 24: 7},
          "still moving at the top order; extend the ladder"),
+        # one distinct order has nothing to compare against
+        ("-n 3 --orders 3", "n=3 mode=av", {3: 1}, None),
+        ("-n 3 --orders 8,8", "n=3 mode=av", {8: 1}, None),
     ])
     def test_ladder(self, capsys, monkeypatch, argv, prefix, counts, verdict):
         monkeypatch.setenv("TREEWILF_WORKERS", "1")
         code, out, err = run(capsys, "stabilize", *argv.split())
         assert code == 0
         assert out.splitlines() == [f"{prefix} K={k} classes={c}" for k, c in counts.items()]
-        assert err == verdict + "\n"
+        assert err == ("" if verdict is None else verdict + "\n")
 
     def test_bad_workers_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("TREEWILF_WORKERS", "abc")
@@ -415,6 +418,7 @@ class TestUsageErrors:
     def test_bad_alphabet(self, capsys):
         code, _, err = run(capsys, "grammar", "--alphabet", "m:2", "--patterns", "")
         assert code == 1
+        assert err == "error: alphabet needs exactly one arity-0 label, got []\n"
 
     def test_bad_workers_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("TREEWILF_WORKERS", "abc")

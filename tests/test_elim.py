@@ -133,8 +133,12 @@ class TestEliminate:
         # a different polynomial that still annihilates the series would pass the
         # soundness tests; these pin the exact polynomial of reduced avoidance systems
         system = enumeration_system(parse_polish(word, BIN), marked=False)
-        text = eliminate(system).canonical_text()
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        poly = eliminate(system)
+        assert hashlib.sha256(poly.canonical_text().encode()).hexdigest() == digest
+        # terms is the sorted (g, x) view of the keys, and reads back to the same polynomial
+        assert list(poly.terms) == sorted(poly.terms)
+        assert BivarPoly.from_dict(dict(poly.terms)) == poly
+        assert poly.g_degree == max(g for (g, _), _ in poly.terms)
 
     def test_soundness_catalan(self):
         system = catalan_system()
@@ -280,6 +284,36 @@ class TestAnnihilates:
         with pytest.raises(ValueError):
             annihilates(CATALAN_POLY, s, 11)
 
+    def test_negative_order_rejected(self):
+        _, s = solve_truncated(catalan_system(), 10)
+        with pytest.raises(ValueError):
+            annihilates(CATALAN_POLY, s, -1)
+
+
+class TestBivarPoly:
+    @pytest.mark.parametrize("poly, digest", [
+        (WITNESS_QUINTIC, "7f84d11567dbfe22729b8a868a60e441cb2880b30123c72c82922a4a0c7d444a"),
+        (WITNESS_QUARTIC, "ff20165a8500a1706f9d221139bfd02ff326cdeb7a5bfb9cbcff07404b41ef89"),
+        # no G or G^3 term: an empty G-coefficient prints nothing; the keys
+        # are given out of order, and the text lists them sorted
+        (BivarPoly.from_dict({(4, 2): 5, (2, 3): 1, (0, 1): 1, (2, 0): -2}),
+         "8b6b37482f1e5c917b69dac489c04ff9a0ceac57dd6486c73ddf2e00341e946f"),
+    ], ids=["quintic", "quartic", "gaps"])
+    def test_pretty(self, poly, digest):
+        assert hashlib.sha256(poly.pretty().encode()).hexdigest() == digest
+
+    def test_g_coefficients(self):
+        # a zero coefficient is dropped, so G^3 has no entry
+        poly = BivarPoly.from_dict({(0, 1): 1, (2, 3): 1, (4, 2): 5, (2, 0): -2, (3, 0): 0})
+        coeffs = poly.g_coefficients()
+        assert coeffs == {0: {1: 1}, 2: {0: -2, 3: 1}, 4: {2: 5}}
+        assert list(coeffs) == [0, 2, 4] and list(coeffs[2]) == [0, 3]
+
+    @pytest.mark.parametrize("exps", [(0, -1), (-1, 0), (1 << 31, 0), (0, 1 << 31)])
+    def test_exponent_outside_the_packed_range(self, exps):
+        with pytest.raises(EliminationBoundError, match="packed range"):
+            BivarPoly.from_dict({exps: 1})
+
 
 class TestWitnessFixtures:
     def test_transcription_checksums(self):
@@ -407,13 +441,13 @@ class TestAgainstSympy:
     def test_content_and_primitive(self, sp, a, c):
         poly = a * c
         G, x = gens = sp.symbols("G x")
-        want_content, want_prim = sp.Poly(to_sympy(sp, poly.as_dict(), gens), G,
+        want_content, want_prim = sp.Poly(to_sympy(sp, dict(poly.terms), gens), G,
                                           domain=sp.ZZ[x]).primitive()
         if sp.Poly(want_content, x).LC() < 0:
             want_content, want_prim = -want_content, -want_prim
         content, prim = poly.content_and_primitive()
         assert content == {xd: c for (xd,), c in from_sympy(sp, want_content, (x,)).items()}
-        assert prim.as_dict() == from_sympy(sp, want_prim.as_expr(), gens)
+        assert dict(prim.terms) == from_sympy(sp, want_prim.as_expr(), gens)
 
     @settings(max_examples=50, deadline=None)
     @given(bivars(), bivars(), x_factors())
@@ -422,8 +456,8 @@ class TestAgainstSympy:
         gens = sp.symbols("G x")
 
         def divides_over_q(p, q):
-            _, rem = sp.div(sp.Poly.from_dict(p.as_dict(), *gens, domain=sp.QQ),
-                            sp.Poly.from_dict(q.as_dict(), *gens, domain=sp.QQ))
+            _, rem = sp.div(sp.Poly.from_dict(dict(p.terms), *gens, domain=sp.QQ),
+                            sp.Poly.from_dict(dict(q.terms), *gens, domain=sp.QQ))
             return rem.is_zero
 
         assert poly_divides(a * b, b) and divides_over_q(a * b, b)

@@ -49,7 +49,7 @@ def random_trees(draw, alphabet=BIN, max_depth=6):
 
 class TestAlphabet:
     def test_binary(self):
-        assert BIN.arity("m") == 2
+        assert BIN.arities["m"] == 2
         assert BIN.free_end == "x"
 
     def test_duplicate_names_rejected(self):
@@ -65,7 +65,7 @@ class TestAlphabet:
     def test_from_config(self):
         ab = Alphabet.from_config("m:2, w:3, x:0")
         assert ab.free_end == "x"
-        assert ab.arity("w") == 3
+        assert ab.arities["w"] == 3
 
     def test_tokenize_multichar(self):
         ab = Alphabet(labels=(("op", 2), ("x", 0)), free_end="x")
@@ -270,4 +270,4 @@ class TestPatternSet:
         with pytest.raises(ValueError):
             PatternSet.from_words(["x"])
         ps = PatternSet.from_words(["x"], allow_degenerate=True)
-        assert ps.degenerate and ps.d == 0
+        assert ps.patterns[0].is_free_end() and ps.d == 0

@@ -66,6 +66,30 @@ class TestClassify:
         parallel = classify(5, 40, "av", workers=2)
         assert serial.canonical_bytes() == parallel.canonical_bytes()
 
+    @pytest.mark.parametrize("workers, size", [(64, 3), (2, 2)])
+    def test_pool_never_exceeds_the_jobs(self, monkeypatch, workers, size):
+        opened = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                opened.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, jobs, chunksize):
+                assert chunksize == 1
+                return map(fn, jobs)
+
+        monkeypatch.setattr(treewilf.wilf, "Pool", InProcessPool)
+        report = classify(4, 40, "av", workers=workers)  # 3 mirror representatives
+        assert opened == [size]
+        assert json.loads(report.to_json())["timing"]["workers"] == workers
+        assert report.canonical_bytes() == classify(4, 40, "av", workers=1).canonical_bytes()
+
     def test_mirror_reduce_only_changes_metadata(self):
         fast = classify(4, 40, "av", mirror_reduce=True)
         slow = classify(4, 40, "av", mirror_reduce=False)
