@@ -30,6 +30,17 @@ Two implementation notes that matter for whole-sweep classification:
   y-polynomial of unknown degree, and so do the chain nodes (partial
   products of three or more factors), which the majorant does not bound:
   for S = x + x*S^3, (S^2)[2] = 1 > S[2] = 0.
+
+Two engines multiply the convolution slices; they choose how to multiply,
+not what: the packing, the slot width, the majorant check and every output
+are the same on both.  A bivariate slice whose two middle operands have at
+least GMP_BITS bits between them goes to GMP (treewilf.gmp, libgmp through
+ctypes, loaded when the first such slice comes up), which multiplies
+operands of several kbit several times faster than CPython.  Smaller slices,
+and every univariate slice, stay on plain int: a GMP product costs a ctypes
+call of about 1 us, more than CPython spends on a product of a few hundred
+bits.  Where libgmp cannot be loaded or fails its self-check, every slice
+stays on int.
 """
 
 from __future__ import annotations
@@ -38,13 +49,13 @@ import heapq
 from functools import lru_cache
 from operator import mul
 
-try:
-    from gmpy2 import mpz as _bigint
-except ImportError:  # pragma: no cover - gmpy2 is a fast-multiplication accelerator only
-    _bigint = int
-
 from .systems import AlgebraicSystem, Monomial, enumeration_system
 from .trees import Tree
+
+# A bivariate convolution slice goes to GMP when the bit lengths of its two
+# middle operands sum to at least this.  A GMP product costs a ctypes call of
+# about 1 us, so below it CPython's own multiply is faster.
+GMP_BITS = 1600
 
 
 class TruncatedSeries:
@@ -409,72 +420,96 @@ def _solve(system: AlgebraicSystem, order: int, width: int):
     product of a group off the slots of one convolution; width 0 (the
     majorant itself) keeps every product on its own.  Constants go into
     their rows before the first degree; each degree then adds every
-    product and term straight into the rows it feeds.
+    product and term straight into the rows it feeds.  A bivariate slice
+    whose middle operands have GMP_BITS between them goes to GMP if libgmp
+    loads; the GMP copies of the rows are freed before the solve returns
+    or raises.
     """
     (constants, terms, feeds), nodes, products = _compile_plan(system)
-    groups = _group_products(products, shared=len(system.weight_vars) == 1 and width > 0)
+    bivariate = len(system.weight_vars) == 2
+    groups = _group_products(products, shared=not bivariate and width > 0)
     n_unknowns = system.n_unknowns
     n_series = n_unknowns + len(nodes)
 
-    zero = _bigint(0)
-    store = [[zero] * (order + 1) for _ in range(n_series)]
+    store = [[0] * (order + 1) for _ in range(n_series)]
     for ui, a, b, coeff in constants:
         if a <= order:  # a constant past the order is truncated away
-            store[ui][a] += _bigint(coeff) << (b * width)
+            store[ui][a] += coeff << (b * width)
     terms = [(store[ui], a, b * width, coeff, store[src]) for ui, a, b, coeff, src in terms]
 
     chain_nodes = [(n_unknowns + i, spec) for i, (kind, spec) in enumerate(nodes) if kind == "chain"]
     sum_rows = [(store[n_unknowns + i], [store[m] for m in spec])
                 for i, (kind, spec) in enumerate(nodes) if kind == "sum"]
     # a group of one convolves its partner's own row; a larger one a packed row
-    # holding its partners' coefficients side by side, width bits apart, and
-    # each slot of its convolution feeds the rows of that slot's product
-    convolutions, packed = [], []
+    # (a series id past the nodes, one per distinct partner tuple) holding its
+    # partners' coefficients side by side, width bits apart, and each slot of
+    # its convolution feeds the rows of that slot's product
+    convolutions, packed, packed_ids = [], [], {}
     for a, operand, members in groups:
         slots = [[(store[ui], b * width, coeff) for ui, b, coeff in feeds[p]] for _, p in members]
-        if len(members) == 1:
-            row = store[members[0][0]]
+        partners = tuple(partner for partner, _ in members)
+        if len(partners) == 1:
+            row = partners[0]
         else:
-            row = [zero] * (order + 1)
-            packed.append((row, [store[partner] for partner, _ in members]))
-        convolutions.append((a, row, store[operand], slots))
+            row = packed_ids.get(partners)
+            if row is None:
+                row = packed_ids[partners] = len(store)
+                store.append([0] * (order + 1))
+                packed.append((store[row], [store[partner] for partner in partners]))
+        convolutions.append((a, row, operand, slots))
     mask = (1 << width) - 1
+    gmp_bits = GMP_BITS
+    gmp_slices = None  # made when a bivariate slice first crosses gmp_bits; False without libgmp
 
-    def conv_slice(L, R, m):
+    def conv_slice(s, t, m):
+        nonlocal gmp_slices
+        L, R = store[s], store[t]
+        if (bivariate and gmp_slices is not False
+                and L[m // 2].bit_length() + R[m - m // 2].bit_length() >= gmp_bits):
+            if gmp_slices is None:
+                from . import gmp
+                lib = gmp.library()
+                gmp_slices = gmp.Slices(lib, store) if lib else False
+            if gmp_slices:
+                return gmp_slices.slice(s, t, m)
         return sum(map(mul, L[1:m], R[m - 1:0:-1]))
 
-    for n in range(1, order + 1):
-        for cid, (left, right) in chain_nodes:
-            store[cid][n] = conv_slice(store[left], store[right], n)
-        for a, row, other, slots in convolutions:
-            if n - a < 2:  # a product's slice is zero until n - a >= 2
-                continue
-            c = conv_slice(row, other, n - a)
-            if len(slots) == 1:
-                for dest, shift, coeff in slots[0]:
-                    dest[n] += (coeff * c) << shift
-                continue
-            for slot in slots:
-                v = c & mask
-                c >>= width
-                for dest, shift, coeff in slot:
-                    dest[n] += (coeff * v) << shift
-            if c:
-                raise ArithmeticError(f"a shared-factor convolution at degree {n} "
-                                      f"overflows its {width}-bit slots")
-        for dest, a, shift, coeff, src in terms:
-            if n >= a:
-                dest[n] += (coeff * src[n - a]) << shift
-        for row, member_rows in sum_rows:
-            row[n] = sum([r[n] for r in member_rows])
-        for row, partner_rows in packed:
-            v = zero
-            for j, prow in enumerate(partner_rows):
-                v += prow[n] << (j * width)
-            row[n] = v
+    try:
+        for n in range(1, order + 1):
+            for cid, (left, right) in chain_nodes:
+                store[cid][n] = conv_slice(left, right, n)
+            for a, row, operand, slots in convolutions:
+                if n - a < 2:  # a product's slice is zero until n - a >= 2
+                    continue
+                c = conv_slice(row, operand, n - a)
+                if len(slots) == 1:
+                    for dest, shift, coeff in slots[0]:
+                        dest[n] += (coeff * c) << shift
+                    continue
+                for slot in slots:
+                    v = c & mask
+                    c >>= width
+                    for dest, shift, coeff in slot:
+                        dest[n] += (coeff * v) << shift
+                if c:
+                    raise ArithmeticError(f"a shared-factor convolution at degree {n} "
+                                          f"overflows its {width}-bit slots")
+            for dest, a, shift, coeff, src in terms:
+                if n >= a:
+                    dest[n] += (coeff * src[n - a]) << shift
+            for row, member_rows in sum_rows:
+                row[n] = sum([r[n] for r in member_rows])
+            for row, partner_rows in packed:
+                v = 0
+                for j, prow in enumerate(partner_rows):
+                    v += prow[n] << (j * width)
+                row[n] = v
+    finally:
+        if gmp_slices:
+            gmp_slices.close()
 
     rows = store[:n_unknowns]
-    return rows, [sum(column, zero) for column in zip(*(rows[ui] for ui in system.target))]
+    return rows, [sum(column) for column in zip(*(rows[ui] for ui in system.target))]
 
 
 # -- pattern series pipeline ------------------------------------------------------

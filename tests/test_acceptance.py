@@ -13,6 +13,7 @@ occurrence-marked sweep.  The two 9-leaf tests carry the slow marker, so
 leaves them out for a quick loop.
 """
 
+import hashlib
 import time
 from functools import lru_cache
 
@@ -40,9 +41,24 @@ ORDER = 257
 WORKERS = default_workers()
 
 
+# sha256 of report(n, mode).canonical_bytes(): a change to the solver, the
+# systems or the report format that moves any byte of these sweeps shows here
+REPORT_DIGESTS = {
+    (8, "av"): "6ac7cc2a148bf6adacf5ed64345270b69f0baf5f3f34ea939dfdcfa78f3091e6",
+    (8, "en"): "48729d08f46e6e464b9d6b49505b5385ac3e5c69eded23954f510a6278585f72",
+    (9, "av"): "6b0a644b66c49f62634c85b2fdda810bcfb8ab95b9d95c3dcd7178afd5ba6d2d",
+    (9, "en"): "2a8f3bd779b534e4be2acebc2c27614168a93c697258a5b432e4a95f2083e208",
+}
+
+
 @lru_cache(maxsize=None)
 def report(n_leaves: int, mode: str):
     return classify(n_leaves, ORDER, mode, workers=WORKERS)
+
+
+def assert_pinned(n_leaves: int, mode: str) -> None:
+    digest = hashlib.sha256(report(n_leaves, mode).canonical_bytes()).hexdigest()
+    assert digest == REPORT_DIGESTS[n_leaves, mode], (n_leaves, mode)
 
 
 def ok(criterion: str, detail: str) -> None:
@@ -63,6 +79,7 @@ def test_02_eight_leaf_class_count():
     assert r.class_count == 43
     assert r.pattern_count == 429
     assert r.exactness == "exact" and r.certificate is not None
+    assert_pinned(8, "av")
     ok("2 eight-leaf count", f"43 classes over 429 patterns, certified exact")
 
 
@@ -83,6 +100,8 @@ def test_04_nine_leaf_lower_bounds():
     assert en9.class_count >= 136
     assert av9.class_count == en9.class_count == 136
     assert av9.exactness == "lower_bound"
+    assert_pinned(9, "av")
+    assert_pinned(9, "en")
     ok("4 nine-leaf bounds", f"av={av9.class_count}, en={en9.class_count} at K={ORDER}")
 
 
@@ -90,6 +109,7 @@ def test_04_nine_leaf_lower_bounds():
 def test_05_enumeration_equivalence_cross_check():
     for n in range(2, 9):
         assert report(n, "av").partition() == report(n, "en").partition(), n
+    assert_pinned(8, "en")
     ok("5 cross-check", f"avoidance and occurrence partitions agree for n=2..8 at K={ORDER}")
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import treewilf
-from treewilf import verify
+from treewilf import gmp, series, verify
 from treewilf.elim import annihilates, eliminate
 from treewilf.series import solve_truncated
 from treewilf.systems import enumeration_system
@@ -27,12 +27,19 @@ def certify_one():
     assert annihilates(poly, target, 30)
 
 
+def classify_en_on_gmp():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "GMP_BITS", 0)
+        classify(6, 41, "en")
+
+
 @pytest.mark.parametrize("run", [
     lambda: classify(6, 41, "av"),
     lambda: classify(6, 41, "en"),
+    classify_en_on_gmp,
     certify_one,
     lambda: verify.grammar_suite(BIN, PatternSet.from_words(["mmxxx"]), 11),
-], ids=["classify-av", "classify-en", "certify", "grammar-suite"])
+], ids=["classify-av", "classify-en", "classify-en-gmp", "certify", "grammar-suite"])
 def test_run_leaves_no_reference_cycles(run):
     # everything a run drops is freed by reference counting, so collection
     # cadence cannot move its memory peak
@@ -50,10 +57,24 @@ def test_run_leaves_no_reference_cycles(run):
             gc.enable()
 
 
+def test_univariate_runs_never_load_gmp(monkeypatch):
+    # with the threshold at 0 every bivariate slice asks for GMP; univariate
+    # slices never ask, whatever their size
+    loads = []
+    monkeypatch.setattr(gmp, "library", lambda: loads.append(1))
+    monkeypatch.setattr(series, "GMP_BITS", 0)
+    classify(6, 41, "av")
+    certify_one()
+    assert loads == []
+    classify(4, 41, "en")
+    assert loads
+
+
 def test_cli_import_loads_only_the_program():
-    # each module imported from source is compiled at start-up
+    # each module imported from source is compiled at start-up, and ctypes
+    # loads only when a bivariate solve first needs GMP
     code = ("import sys, treewilf.cli; print(*sorted(m for m in sys.modules "
-            "if m.partition('.')[0] in ('treewilf', 'numpy', 'sympy', 'hypothesis')))")
+            "if m.partition('.')[0] in ('treewilf', 'ctypes', 'numpy', 'sympy', 'hypothesis')))")
     src = str(Path(treewilf.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

@@ -1,10 +1,12 @@
 import hashlib
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treewilf import series
+from treewilf import gmp, series
 from treewilf.grammar import build_grammar
 from treewilf.oracle import brute_histogram, count_avoiders, enumerate_trees
 from treewilf.series import (
@@ -384,6 +386,43 @@ class TestPatternSeries:
         solve = av_series if kind == "av" else en_series
         text = "\n".join(solve(p, order).serialize() for p in enumerate_binary_patterns(leaves))
         assert hashlib.sha256(text.encode()).hexdigest() == self.PINS[kind, leaves, order]
+
+    @pytest.mark.parametrize("leaves, order", [(n, k) for mode, n, k in sorted(PINS) if mode == "en"])
+    def test_en_series_pinned_on_each_engine(self, leaves, order, engine, monkeypatch):
+        # every bivariate slice asks for GMP, and gets int when libgmp is unusable
+        monkeypatch.setattr(series, "GMP_BITS", 0)
+        self.test_series_pinned("en", leaves, order)
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads the resident size from /proc")
+@pytest.mark.parametrize("engine", ["gmp"], indirect=True)
+def test_gmp_solves_free_their_memory(engine, monkeypatch):
+    # tracemalloc cannot see GMP's allocations, and ru_maxrss carries a
+    # parent's peak over fork and exec, so read the current resident size:
+    # a solve that kept its mpz values would leave about 48 kB resident, so
+    # 180 more solves would add about 8.5 MB
+    def resident_kb() -> int:
+        return int(Path("/proc/self/statm").read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE") // 1024
+
+    monkeypatch.setattr(series, "GMP_BITS", 0)
+    pattern = parse_polish("mmxmxxmxx", BIN)
+    for i in range(200):
+        en_series(pattern, 121)
+        if i == 19:
+            warm = resident_kb()
+    assert resident_kb() - warm < 1024
+
+
+@pytest.mark.parametrize("fault", ["unloadable", "wrong-products"])
+def test_gmp_loader_declines_a_faulty_library(fault, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise OSError("no libgmp")
+
+    if fault == "unloadable":
+        monkeypatch.setattr(gmp.ctypes, "CDLL", refuse)
+    else:
+        monkeypatch.setattr(gmp.Slices, "slice", lambda self, s, t, m: 0)
+    assert gmp.library.__wrapped__() is None
 
 
 class TestOperadSeries:

@@ -33,6 +33,13 @@ def test_report_bytes_pinned(mode, n):
     assert hashlib.sha256(report.canonical_bytes()).hexdigest() == REPORT_DIGESTS[(mode, n)]
 
 
+@pytest.mark.parametrize("engine", ["int"], indirect=True)
+@pytest.mark.parametrize("n", [n for mode, n in sorted(REPORT_DIGESTS) if mode == "en"])
+def test_en_report_bytes_pinned_without_gmp(n, engine):
+    # av solves are univariate and never reach the engine
+    test_report_bytes_pinned("en", n)
+
+
 class TestClassify:
     @pytest.mark.parametrize("n,expected", [(2, 1), (3, 1), (4, 2), (5, 3), (6, 7)])
     def test_small_class_counts(self, n, expected):
