@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 validation error, 2 verification failure,
 3 resource bound exceeded.  Progress heartbeats go to stderr; stdout stays
 machine-parsable.
+
+Each command imports the modules it runs from inside its handler, so a
+process compiles and loads only those; building the parser loads none.
 """
 
 from __future__ import annotations
@@ -12,37 +15,33 @@ import math
 import sys
 import time
 
-from . import verify
-from .elim import EliminationBoundError, EliminationError, annihilates, eliminate
-from .grammar import GrammarSizeError, build_grammar
-from .series import av_series, en_series, solve_truncated, to_operad_series
-from .systems import (
-    MAX_STAMPS,
-    SystemSizeError,
-    cs_system,
-    enumeration_system,
-    occurrence_state_count,
-    stamp_system,
-)
 from .trees import Alphabet, ParseError, PatternSet, Tree, emit_polish, height, mirror, parse_polish
-from .wilf import CSV_HEADER, classify, default_workers, stabilization_scan
+
+CSV_HEADER = "n,K,mode,class_count,pattern_count,seconds"
 
 
 class ValidationError(ValueError):
     pass
 
 
-# (exception types, exit code, stderr prefix); the first matching row wins,
-# so EliminationBoundError meets its row before its base EliminationError.
-# ValueError covers ValidationError, ParseError and ImproperSystemError;
-# RecursionError is what a pattern deeper than the interpreter's stack gives,
-# and OverflowError or MemoryError what an order too large to allocate gives;
-# OSError is a file that cannot be read or written.
-EXIT_CODES = (
-    ((GrammarSizeError, SystemSizeError, EliminationBoundError, RecursionError,
-      OverflowError, MemoryError), 3, "resource bound exceeded"),
-    ((EliminationError, ValueError, OSError), 1, "error"),
-)
+def exit_codes() -> tuple:
+    """(exception types, exit code, stderr prefix); the first matching row wins,
+    so EliminationBoundError meets its row before its base EliminationError.
+    ValueError covers ValidationError, ParseError and ImproperSystemError;
+    RecursionError is what a pattern deeper than the interpreter's stack gives,
+    and OverflowError or MemoryError what an order too large to allocate gives;
+    OSError is a file that cannot be read or written.  Built when an exception
+    reaches main, so a run that raises none never imports the modules that
+    define these types."""
+    from .elim import EliminationBoundError, EliminationError
+    from .grammar import GrammarSizeError
+    from .systems import SystemSizeError
+
+    return (
+        ((GrammarSizeError, SystemSizeError, EliminationBoundError, RecursionError,
+          OverflowError, MemoryError), 3, "resource bound exceeded"),
+        ((EliminationError, ValueError, OSError), 1, "error"),
+    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,6 +104,8 @@ def _writable(args, *flags: str) -> None:
 
 
 def _workers(args) -> int:
+    from .wilf import default_workers
+
     _at_least(1, args, "--workers")
     return args.workers if args.workers is not None else default_workers()
 
@@ -122,6 +123,8 @@ def _progress(label: str):
 
 
 def cmd_classify(args) -> int:
+    from .wilf import classify
+
     workers = _workers(args)
     if args.leaves >= 10 and not args.deep:
         raise ValidationError(
@@ -147,6 +150,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_stabilize(args) -> int:
+    from .wilf import stabilization_scan
+
     workers = _workers(args)
     try:
         orders = sorted({int(k) for k in args.orders.split(",")})
@@ -166,6 +171,11 @@ def cmd_stabilize(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    from .elim import EliminationError, annihilates, eliminate
+    from .grammar import build_grammar
+    from .series import av_series, en_series, solve_truncated, to_operad_series
+    from .systems import cs_system, enumeration_system, occurrence_state_count
+
     alphabet = Alphabet.binary()
     pattern = _single_pattern(args.pattern, alphabet)
     print(f"pattern        {emit_polish(pattern)}")
@@ -196,6 +206,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from .series import av_series, en_series, to_operad_series
+
     alphabet = Alphabet.binary()
     pattern = _single_pattern(args.pattern, alphabet)
     if args.kind == "av":
@@ -209,6 +221,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_grammar(args) -> int:
+    from .grammar import build_grammar
+
     _at_least(1, args, "--max-nonterminals")
     alphabet = Alphabet.from_config(args.alphabet)
     patterns = _patterns(args, alphabet)
@@ -218,10 +232,13 @@ def cmd_grammar(args) -> int:
 
 
 def cmd_system(args) -> int:
+    from .systems import cs_system, enumeration_system, stamp_system
+
     _at_least(1, args, "--max-nonterminals")
     alphabet = Alphabet.from_config(args.alphabet)
     patterns = _patterns(args, alphabet)
     if args.method == "cs":
+        from .grammar import build_grammar
         system = cs_system(build_grammar(alphabet, patterns, max_nonterminals=args.max_nonterminals))
     elif args.method == "stamp":
         system = stamp_system(alphabet, patterns)
@@ -234,6 +251,11 @@ def cmd_system(args) -> int:
 
 
 def cmd_eliminate(args) -> int:
+    from .elim import annihilates, eliminate
+    from .grammar import build_grammar
+    from .series import solve_truncated
+    from .systems import cs_system
+
     _at_least(1, args, "--max-unknowns", "--check-order", "--max-nonterminals")
     if args.deadline is not None and not 0 < args.deadline < math.inf:
         raise ValidationError(f"--deadline must be a finite number of seconds above 0, "
@@ -251,6 +273,8 @@ def cmd_eliminate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     _at_least(1, args, "--max-len")
     # the oracle, mirror and systems suites take patterns with 2..max_leaves leaves
     _at_least(2 if args.suite in ("all", "oracle", "mirror", "systems") else 0, args, "--max-leaves")
@@ -295,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-nonterminals", type=int, default=100000,
                        help="grammar budget: at most this many nonterminals and its "
                             "square in candidate rule bodies; system --method stamp uses "
-                            f"its own budget, systems.MAX_STAMPS ({MAX_STAMPS}), and "
+                            "its own budget, systems.MAX_STAMPS (20000), and "
                             "--method en none")
 
     p = sub.add_parser("classify", help="group n-leaf binary patterns by truncated series")
@@ -303,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-K", "--order", type=int, default=257)
     p.add_argument("--mode", choices=("av", "en"), default="av")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: TREEWILF_WORKERS, else the CPU count)")
+                   help="worker processes (default: TREEWILF_WORKERS, else the CPUs this process may run on)")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--csv", default=None,
                    help=f"append a CSV summary row here (columns {CSV_HEADER})")
@@ -322,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated truncation orders")
     p.add_argument("--mode", choices=("av", "en"), default="av")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: TREEWILF_WORKERS, else the CPU count)")
+                   help="worker processes (default: TREEWILF_WORKERS, else the CPUs this process may run on)")
     p.set_defaults(func=cmd_stabilize)
 
     p = sub.add_parser("inspect",
@@ -379,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
-        for types, code, prefix in EXIT_CODES:
+        for types, code, prefix in exit_codes():
             if isinstance(exc, types):
                 # a MemoryError usually carries no message; name it instead
                 print(f"{prefix}: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -65,6 +65,8 @@ class TruncatedSeries:
     Truncation is by the degree of the primary (first) variable only; for the
     occurrence-marked series this bounds the mark degree as well, since a
     tree never holds more pattern occurrences than internal nodes.
+    Arithmetic (zero, + and *) is univariate-only: the program adds and
+    multiplies series only in elim.annihilates, on univariate ones.
     """
 
     __slots__ = ("variables", "order", "_dense", "_sparse")
@@ -102,7 +104,9 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, variables: tuple[str, ...], order: int) -> "TruncatedSeries":
-        return cls(variables, order) if len(variables) == 2 else cls(variables, order, dense=())
+        if len(variables) != 1:
+            raise ValueError("series arithmetic is univariate-only")
+        return cls(variables, order, dense=())
 
     @property
     def is_univariate(self) -> bool:
@@ -131,38 +135,27 @@ class TruncatedSeries:
     def _require_compatible(self, other: "TruncatedSeries") -> int:
         if self.variables != other.variables:
             raise ValueError(f"variable mismatch {self.variables} vs {other.variables}")
+        if not self.is_univariate:
+            raise ValueError("series arithmetic is univariate-only")
         return min(self.order, other.order)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = self._require_compatible(other)
-        if self.is_univariate:
-            return TruncatedSeries(self.variables, order, dense=tuple(
-                a + b for a, b in zip(self._dense, other._dense)
-            ))
-        out = dict(self._sparse)
-        for k, v in other._sparse.items():
-            out[k] = out.get(k, 0) + v
-        return TruncatedSeries(self.variables, order, sparse=out)
+        return TruncatedSeries(self.variables, order, dense=tuple(
+            a + b for a, b in zip(self._dense, other._dense)
+        ))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = self._require_compatible(other)
-        if self.is_univariate:
-            out = [0] * (order + 1)
-            for i, a in enumerate(self._dense[: order + 1]):
-                if a == 0:
-                    continue
-                for j in range(0, order + 1 - i):
-                    b = other._dense[j]
-                    if b:
-                        out[i + j] += a * b
-            return TruncatedSeries(self.variables, order, dense=tuple(out))
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), a in self._sparse.items():
-            for (i2, j2), b in other._sparse.items():
-                if i1 + i2 <= order:
-                    key = (i1 + i2, j1 + j2)
-                    out[key] = out.get(key, 0) + a * b
-        return TruncatedSeries(self.variables, order, sparse=out)
+        out = [0] * (order + 1)
+        for i, a in enumerate(self._dense[: order + 1]):
+            if a == 0:
+                continue
+            for j in range(0, order + 1 - i):
+                b = other._dense[j]
+                if b:
+                    out[i + j] += a * b
+        return TruncatedSeries(self.variables, order, dense=tuple(out))
 
     def is_zero(self) -> bool:
         if self.is_univariate:

@@ -26,9 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .grammar import Grammar, GrammarSizeError, build_grammar
 from .trees import Alphabet, PatternSet, Tree, emit_polish, subtrees
+
+if TYPE_CHECKING:
+    from .grammar import Grammar
 
 
 class ImproperSystemError(ValueError):
@@ -193,6 +196,8 @@ def stamp_system(alphabet: Alphabet, patterns: PatternSet) -> AlgebraicSystem:
     series grades avoiders by leaf count (operad arity).  More than
     MAX_STAMPS stamps raise SystemSizeError.
     """
+    from .grammar import GrammarSizeError, build_grammar
+
     try:
         grammar = build_grammar(alphabet, patterns, max_nonterminals=MAX_STAMPS,
                                 height=max(patterns.d - 1, 0))

@@ -20,9 +20,7 @@ import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 
-from .elim import collapse_certificate
 from .series import av_series, en_series
 from .trees import (
     Alphabet,
@@ -99,9 +97,6 @@ class ClassificationReport:
         return frozenset(frozenset(c.members) for c in self.classes)
 
 
-CSV_HEADER = "n,K,mode,class_count,pattern_count,seconds"
-
-
 def _sweep_worker(args) -> tuple[str, list[bytes]]:
     """Solve one representative pattern and return its class key for each
     requested truncation order.  Restriction of a solved series to a lower
@@ -129,6 +124,10 @@ def default_workers() -> int:
         if workers < 1:
             raise ValueError(f"TREEWILF_WORKERS must be at least 1, got {env!r}")
         return workers
+    if hasattr(os, "sched_getaffinity"):
+        # the CPUs this process may run on, fewer than the machine's under
+        # taskset or a CPU-limited container
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -160,6 +159,7 @@ def _sweep(n_leaves: int, orders: list[int], mode: str, workers: int, progress,
         if size <= 1:
             results = map(_sweep_worker, jobs)
         else:
+            from multiprocessing import Pool
             pool = stack.enter_context(Pool(size))
             results = pool.imap_unordered(_sweep_worker, jobs,
                                           chunksize=max(1, len(jobs) // (size * 8)))
@@ -203,6 +203,7 @@ def classify(n_leaves: int, order: int = 257, mode: str = "av", *,
     exactness = "lower_bound"
     certificate = None
     if mode == "av" and n_leaves == 8 and order >= 100:
+        from .elim import collapse_certificate
         if collapse_certificate(100):
             exactness = "exact"
             certificate = (

@@ -2,11 +2,12 @@ import hashlib
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
-from treewilf import cli
+from treewilf import cli, elim, series, systems, wilf
 from treewilf.cli import main
 from treewilf.elim import EliminationError
 
@@ -215,14 +216,14 @@ class TestInspectCommand:
         def vanished(system, **kwargs):
             raise EliminationError("resultant vanished while eliminating unknown 0")
 
-        monkeypatch.setattr(cli, "eliminate", vanished)
+        monkeypatch.setattr(elim, "eliminate", vanished)
         code, out, _ = run(capsys, "inspect", "--pattern", "mmxxx")
         assert code == 0
         assert "annihilator    skipped (resultant vanished while eliminating unknown 0)" in out
         assert out.rstrip().endswith("target = C[mmxxx|mxx|x] + C[mxx|x] + C[x]")
 
     def test_failed_self_check_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "annihilates", lambda poly, series, order: False)
+        monkeypatch.setattr(elim, "annihilates", lambda poly, series, order: False)
         code, out, _ = run(capsys, "inspect", "--pattern", "mmxxx")
         assert code == 2
         assert "annihilator    (1*x) + (-1 + 1*x^2)*G   [NOT ANNIHILATING (bug)]" in out
@@ -307,7 +308,7 @@ class TestUsageErrors:
         def exhausted(pattern, order):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "av_series", exhausted)
+        monkeypatch.setattr(series, "av_series", exhausted)
         code, _, err = run(capsys, "series", "--pattern", "mxx", "-K", "1000000000")
         assert code == 3
         assert err == "resource bound exceeded: MemoryError\n"
@@ -373,7 +374,7 @@ class TestUsageErrors:
         def unused(*args, **kwargs):
             raise AssertionError("the sweep ran")
 
-        monkeypatch.setattr(cli, "classify", unused)
+        monkeypatch.setattr(wilf, "classify", unused)
         path = str(tmp_path / "absent" / "report" if target == "missing-directory" else tmp_path)
         code, out, err = run(capsys, "classify", "-n", "3", "-K", "6", "--workers", "1",
                              "--quiet", flag, path)
@@ -441,3 +442,41 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+# sha256 of each help text at 80 columns, in argparse's layout of Python
+# 3.11.  Loading the modules per command moved none of them; classify's and
+# stabilize's name the --workers default as the CPUs the process may run on.
+HELP_DIGESTS = {
+    (): "47b96c744b6ba29fe74194f542ec0f481d5a48cd71ff20f377813e7d25cda681",
+    ("classify",): "c7b8711147d89c9a641267bcf7e1916e2f957bfcd0d9b6584e8f8ecbd9382fd4",
+    ("stabilize",): "5d67334fc65aa2b83d3752855a1ebb07a87b9d287f867f435db9ffe53981967a",
+    ("inspect",): "04554a0a46d6dcf4954cdbbd9a8f3b7b71691db239f2bf6317f7be62fbdf76d0",
+    ("series",): "840caa8a96b9512683e8008ba409bc111e4c572bd65f746bd8d23ec773d61f27",
+    ("grammar",): "ebf2d50c819f270695484da5a8f949b466b8f08eea6c936de7c99e01329f946a",
+    ("system",): "c6725abdd235710211d5f68cf6da2ba8ea18604c9c44dbab70198687dfde4872",
+    ("eliminate",): "6159d7f26b17cf295abea7c8cc11ff0153b8a988bb605f549adf0553fa62e61c",
+    ("verify",): "883b89f375da9da81f49e584ca311351e2b65693a9552f90243e09da0e777c1c",
+}
+
+
+def help_text(capsys, monkeypatch, *argv: str) -> str:
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays help out differently in other Python versions")
+@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS), ids=lambda a: " ".join(a) or "treewilf")
+def test_help_text(capsys, monkeypatch, argv):
+    out = help_text(capsys, monkeypatch, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[argv]
+
+
+def test_help_names_the_stamp_budget(capsys, monkeypatch):
+    # written as a literal, so that building the parser imports no systems
+    out = " ".join(help_text(capsys, monkeypatch, "system").split())
+    assert f"systems.MAX_STAMPS ({systems.MAX_STAMPS})" in out

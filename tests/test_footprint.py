@@ -1,4 +1,4 @@
-"""What a run leaves behind, and what importing the CLI loads."""
+"""What a run leaves behind, and which modules a process loads."""
 
 import gc
 import os
@@ -70,14 +70,35 @@ def test_univariate_runs_never_load_gmp(monkeypatch):
     assert loads
 
 
-def test_cli_import_loads_only_the_program():
-    # each module imported from source is compiled at start-up, and ctypes
-    # loads only when a bivariate solve first needs GMP
-    code = ("import sys, treewilf.cli; print(*sorted(m for m in sys.modules "
-            "if m.partition('.')[0] in ('treewilf', 'ctypes', 'numpy', 'sympy', 'hypothesis')))")
+def loaded_after(code: str) -> list[str]:
+    """The program's modules, multiprocessing and ctypes that a fresh
+    interpreter holds after running code."""
+    code += ("\nimport sys; print(*sorted(m for m in sys.modules if m.partition('.')[0] in "
+             "('treewilf', 'multiprocessing', 'ctypes', 'numpy', 'sympy', 'hypothesis')))")
     src = str(Path(treewilf.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout.split()
-    assert out == ["treewilf"] + [f"treewilf.{m}" for m in (
-        "cli", "elim", "grammar", "oracle", "series", "systems", "trees", "verify", "wilf")]
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout.split()
+
+
+def test_cli_import_loads_only_the_program():
+    # each module imported from source is compiled at start-up, so the CLI
+    # loads a command's modules only when that command runs; ctypes loads
+    # only when a bivariate solve first needs GMP, multiprocessing only when
+    # a sweep opens a pool
+    assert loaded_after("import treewilf.cli") == ["treewilf", "treewilf.cli", "treewilf.trees"]
+
+
+@pytest.mark.parametrize("mode", ["av", "en"])
+def test_one_worker_sweep_loads_only_the_solver(mode):
+    loaded = loaded_after(f"from treewilf.wilf import classify; classify(6, 41, {mode!r}, workers=1)")
+    assert "treewilf.series" in loaded
+    for module in ("elim", "grammar", "oracle", "verify"):
+        assert f"treewilf.{module}" not in loaded
+    assert "multiprocessing" not in loaded
+
+
+def test_eight_leaf_certificate_loads_elimination():
+    loaded = loaded_after("from treewilf.wilf import classify; "
+                          "assert classify(8, 100, 'av').exactness == 'exact'")
+    assert "treewilf.elim" in loaded

@@ -41,10 +41,44 @@ MIXED = Alphabet(labels=(("m", 2), ("w", 3), ("x", 0)), free_end="x")
 small_coeffs = st.lists(st.integers(-50, 50), min_size=1, max_size=8)
 
 
+def series_zero(variables: tuple[str, ...], order: int) -> TruncatedSeries:
+    """The zero series in one or two variables; TruncatedSeries.zero is
+    univariate-only, like all of the program's series arithmetic."""
+    if len(variables) == 1:
+        return TruncatedSeries.zero(variables, order)
+    return TruncatedSeries.bivariate(variables, order, {})
+
+
+def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a + b in one or two variables."""
+    if a.is_univariate:
+        return a + b
+    assert a.variables == b.variables
+    out = dict(a.nonzero_items())
+    for k, v in b.nonzero_items():
+        out[k] = out.get(k, 0) + v
+    return TruncatedSeries.bivariate(a.variables, min(a.order, b.order), out)
+
+
+def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a * b in one or two variables, truncated in the primary variable."""
+    if a.is_univariate:
+        return a * b
+    assert a.variables == b.variables
+    order = min(a.order, b.order)
+    out: dict[tuple[int, int], int] = {}
+    for (i1, j1), u in a.nonzero_items():
+        for (i2, j2), v in b.nonzero_items():
+            if i1 + i2 <= order:
+                key = (i1 + i2, j1 + j2)
+                out[key] = out.get(key, 0) + u * v
+    return TruncatedSeries.bivariate(a.variables, order, out)
+
+
 def verify_solution(system: AlgebraicSystem, solutions: dict[str, TruncatedSeries],
                     order: int) -> bool:
     """Plug the solved series back into every equation; true iff all match
-    modulo primary^(order+1).  Uses TruncatedSeries arithmetic, a separate
+    modulo primary^(order+1).  Uses the series_* arithmetic above, a separate
     code path from the solver's convolution loops."""
     variables = tuple(system.weight_vars)
     nvars = len(variables)
@@ -57,13 +91,13 @@ def verify_solution(system: AlgebraicSystem, solutions: dict[str, TruncatedSerie
         else:
             base = TruncatedSeries(variables, order, sparse={tuple(m.wexp): m.coeff})
         for f in m.factors:
-            base = base * solutions[system.unknowns[f]].restrict(order)
+            base = series_mul(base, solutions[system.unknowns[f]].restrict(order))
         return base
 
     for ui, eq in enumerate(system.equations):
-        rhs = TruncatedSeries.zero(variables, order)
+        rhs = series_zero(variables, order)
         for m in eq:
-            rhs = rhs + monomial_series(m)
+            rhs = series_add(rhs, monomial_series(m))
         if rhs != solutions[system.unknowns[ui]].restrict(order):
             return False
     return True
@@ -104,7 +138,13 @@ class TestSeriesArithmetic:
     def test_bivariate_mul(self):
         a = TruncatedSeries.bivariate(("x", "y"), 4, {(1, 0): 1, (1, 1): 2})
         b = TruncatedSeries.bivariate(("x", "y"), 4, {(2, 1): 3})
-        assert (a * b).nonzero_items() == [((3, 1), 3), ((3, 2), 6)]
+        assert series_mul(a, b).nonzero_items() == [((3, 1), 3), ((3, 2), 6)]
+
+    def test_arithmetic_is_univariate_only(self):
+        a = TruncatedSeries.bivariate(("x", "y"), 4, {(1, 0): 1})
+        for op in (lambda: a + a, lambda: a * a, lambda: TruncatedSeries.zero(("x", "y"), 4)):
+            with pytest.raises(ValueError, match="univariate-only"):
+                op()
 
     def test_restrict(self):
         s = uni([0, 1, 2, 3, 4], order=4)
@@ -303,9 +343,9 @@ class TestSolver:
     ], ids=["packed", "univariate"])
     def test_target_is_sum_of_target_unknowns(self, system):
         sol, target = solve_truncated(system, 15)
-        total = TruncatedSeries.zero(system.weight_vars, 15)
+        total = series_zero(system.weight_vars, 15)
         for ui in system.target:
-            total = total + sol[system.unknowns[ui]]
+            total = series_add(total, sol[system.unknowns[ui]])
         assert target == total and not target.is_zero()
 
     def test_parity(self):

@@ -1,13 +1,16 @@
 import hashlib
 import json
+import multiprocessing
+import os
 
 import pytest
 
 import treewilf.wilf
+from treewilf.cli import CSV_HEADER
 from treewilf.trees import Alphabet, catalan, emit_polish, parse_polish
 from treewilf.wilf import (
-    CSV_HEADER,
     classify,
+    default_workers,
     stabilization_scan,
 )
 
@@ -91,11 +94,19 @@ class TestClassify:
                 assert chunksize == 1
                 return map(fn, jobs)
 
-        monkeypatch.setattr(treewilf.wilf, "Pool", InProcessPool)
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
         report = classify(4, 40, "av", workers=workers)  # 3 mirror representatives
         assert opened == [size]
         assert json.loads(report.to_json())["timing"]["workers"] == workers
         assert report.canonical_bytes() == classify(4, 40, "av", workers=1).canonical_bytes()
+
+    def test_default_workers_honours_cpu_affinity(self, monkeypatch):
+        # under taskset or a CPU-limited container the process may use fewer
+        # CPUs than the machine has, and a larger pool only contends for them
+        monkeypatch.delenv("TREEWILF_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert default_workers() == 1
 
     def test_mirror_reduce_only_changes_metadata(self):
         fast = classify(4, 40, "av", mirror_reduce=True)
