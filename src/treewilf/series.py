@@ -36,7 +36,9 @@ not what: the packing, the slot width, the majorant check and every output
 are the same on both.  A bivariate slice whose two middle operands have at
 least GMP_BITS bits between them goes to GMP (treewilf.gmp, libgmp through
 ctypes, loaded when the first such slice comes up), which multiplies
-operands of several kbit several times faster than CPython.  Smaller slices,
+operands of several kbit several times faster than CPython.  GMP reads each
+row entry in place from a bytes copy of its limbs and adds into one sum per
+process, so a solve leaves GMP nothing to free.  Smaller slices,
 and every univariate slice, stay on plain int: a GMP product costs a ctypes
 call of about 1 us, more than CPython spends on a product of a few hundred
 bits.  Where libgmp cannot be loaded or fails its self-check, every slice
@@ -100,7 +102,7 @@ class TruncatedSeries:
     @classmethod
     def bivariate(cls, variables: tuple[str, str], order: int,
                   coeffs: dict[tuple[int, int], int]) -> "TruncatedSeries":
-        return cls(variables, order, sparse=dict(coeffs))
+        return cls(variables, order, sparse=coeffs)
 
     @classmethod
     def zero(cls, variables: tuple[str, ...], order: int) -> "TruncatedSeries":
@@ -170,6 +172,8 @@ class TruncatedSeries:
     def restrict(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError(f"cannot extend a truncated series from {self.order} to {order}")
+        if order == self.order:  # a series is never mutated, so it can stand for itself
+            return self
         if self.is_univariate:
             return TruncatedSeries(self.variables, order, dense=self._dense[: order + 1])
         return TruncatedSeries(self.variables, order, sparse=self._sparse)
@@ -415,8 +419,8 @@ def _solve(system: AlgebraicSystem, order: int, width: int):
     their rows before the first degree; each degree then adds every
     product and term straight into the rows it feeds.  A bivariate slice
     whose middle operands have GMP_BITS between them goes to GMP if libgmp
-    loads; the GMP copies of the rows are freed before the solve returns
-    or raises.
+    loads; it reads views of the rows' limbs, so a solve that returns or
+    raises leaves GMP nothing to free.
     """
     (constants, terms, feeds), nodes, products = _compile_plan(system)
     bivariate = len(system.weight_vars) == 2
@@ -467,39 +471,35 @@ def _solve(system: AlgebraicSystem, order: int, width: int):
                 return gmp_slices.slice(s, t, m)
         return sum(map(mul, L[1:m], R[m - 1:0:-1]))
 
-    try:
-        for n in range(1, order + 1):
-            for cid, (left, right) in chain_nodes:
-                store[cid][n] = conv_slice(left, right, n)
-            for a, row, operand, slots in convolutions:
-                if n - a < 2:  # a product's slice is zero until n - a >= 2
-                    continue
-                c = conv_slice(row, operand, n - a)
-                if len(slots) == 1:
-                    for dest, shift, coeff in slots[0]:
-                        dest[n] += (coeff * c) << shift
-                    continue
-                for slot in slots:
-                    v = c & mask
-                    c >>= width
-                    for dest, shift, coeff in slot:
-                        dest[n] += (coeff * v) << shift
-                if c:
-                    raise ArithmeticError(f"a shared-factor convolution at degree {n} "
-                                          f"overflows its {width}-bit slots")
-            for dest, a, shift, coeff, src in terms:
-                if n >= a:
-                    dest[n] += (coeff * src[n - a]) << shift
-            for row, member_rows in sum_rows:
-                row[n] = sum([r[n] for r in member_rows])
-            for row, partner_rows in packed:
-                v = 0
-                for j, prow in enumerate(partner_rows):
-                    v += prow[n] << (j * width)
-                row[n] = v
-    finally:
-        if gmp_slices:
-            gmp_slices.close()
+    for n in range(1, order + 1):
+        for cid, (left, right) in chain_nodes:
+            store[cid][n] = conv_slice(left, right, n)
+        for a, row, operand, slots in convolutions:
+            if n - a < 2:  # a product's slice is zero until n - a >= 2
+                continue
+            c = conv_slice(row, operand, n - a)
+            if len(slots) == 1:
+                for dest, shift, coeff in slots[0]:
+                    dest[n] += (coeff * c) << shift
+                continue
+            for slot in slots:
+                v = c & mask
+                c >>= width
+                for dest, shift, coeff in slot:
+                    dest[n] += (coeff * v) << shift
+            if c:
+                raise ArithmeticError(f"a shared-factor convolution at degree {n} "
+                                      f"overflows its {width}-bit slots")
+        for dest, a, shift, coeff, src in terms:
+            if n >= a:
+                dest[n] += (coeff * src[n - a]) << shift
+        for row, member_rows in sum_rows:
+            row[n] = sum([r[n] for r in member_rows])
+        for row, partner_rows in packed:
+            v = 0
+            for j, prow in enumerate(partner_rows):
+                v += prow[n] << (j * width)
+            row[n] = v
 
     rows = store[:n_unknowns]
     return rows, [sum(column) for column in zip(*(rows[ui] for ui in system.target))]

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import random
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -151,6 +153,14 @@ class TestSeriesArithmetic:
         assert s.restrict(2).nonzero_items() == [((1,), 1), ((2,), 2)]
         with pytest.raises(ValueError):
             s.restrict(9)
+
+    def test_restrict_to_own_order_is_the_series_itself(self):
+        # a sweep restricts each solved series to its top order; series are
+        # never mutated, so that costs no copy
+        for s in (uni([0, 1, 2], order=4),
+                  TruncatedSeries.bivariate(("x", "y"), 4, {(1, 0): 1, (3, 2): 5})):
+            assert s.restrict(s.order) is s
+            assert s.restrict(s.order - 1) is not s
 
     def test_variable_mismatch(self):
         with pytest.raises(ValueError):
@@ -453,16 +463,40 @@ def test_gmp_solves_free_their_memory(engine, monkeypatch):
     assert resident_kb() - warm < 1024
 
 
-@pytest.mark.parametrize("fault", ["unloadable", "wrong-products"])
+@pytest.mark.parametrize("fault", ["unloadable", "wrong-products", "big-endian"])
 def test_gmp_loader_declines_a_faulty_library(fault, monkeypatch):
     def refuse(*args, **kwargs):
         raise OSError("no libgmp")
 
     if fault == "unloadable":
         monkeypatch.setattr(gmp.ctypes, "CDLL", refuse)
-    else:
+    elif fault == "wrong-products":
         monkeypatch.setattr(gmp.Slices, "slice", lambda self, s, t, m: 0)
+    else:  # a limb view is the little-endian bytes of an int
+        monkeypatch.setattr(gmp.sys, "byteorder", "big")
     assert gmp.library.__wrapped__() is None
+
+
+@pytest.mark.parametrize("engine", ["gmp"], indirect=True)
+@pytest.mark.parametrize("seed", range(4))
+def test_gmp_slices_match_int(engine, seed):
+    # limb counts at and across the 64-bit boundaries, zeros that a view
+    # skips, and slices that sum to 0, read from an empty limb array
+    rng = random.Random(seed)
+    edges = [0, 1, (1 << 64) - 1, 1 << 64, (1 << 128) - 1, 1 << 128]
+    edges += [rng.getrandbits(64 * k) | 1 << (64 * k - 1) for k in (1, 2, 5, 40)]
+
+    def row(length: int) -> list[int]:
+        return [rng.choice(edges) if rng.random() < 0.6 else rng.getrandbits(rng.randrange(1, 3000))
+                for _ in range(length)]
+
+    length = 24
+    rows = [row(length), row(length), [0] * length, [0, 5] + [0] * (length - 2)]
+    slices = gmp.Slices(gmp.library(), rows)
+    for m in range(1, length + 1):
+        for s, t in ((0, 1), (1, 0), (0, 0), (2, 1), (3, 3), (1, 3)):
+            left, right = rows[s], rows[t]
+            assert slices.slice(s, t, m) == sum(map(mul, left[1:m], right[m - 1:0:-1]))
 
 
 class TestOperadSeries:
